@@ -1,5 +1,4 @@
-// Figure 9: single-host fast-replay throughput over UDP, before/after the
-// batched hot path.
+// Figure 9: single-host fast-replay throughput over UDP.
 //
 // Streams a continuous batch of identical queries (www.example.com, §4.3)
 // through the query engine in fast mode (no timers) against the loopback
@@ -8,12 +7,11 @@
 // bottleneck; a single shared core reaches proportionally less — the flat
 // steady-state shape is the claim under test.
 //
-// Two phases share the workload: "scalar" (one syscall per datagram, no
-// response cache) and "batched" (sendmmsg/recvmmsg + template cache, the
-// defaults). Each phase snapshots the process-wide net::IoCounters so the
-// kernel-crossing cost per query is measured, not inferred — the server
-// runs in-process, so the deltas cover both sides of every exchange. The
-// before/after numbers land in BENCH_fig9_throughput.json (checked in; see
+// The main phase (sendmmsg/recvmmsg + template cache, the defaults)
+// snapshots the process-wide net::IoCounters so the kernel-crossing cost per
+// query is measured, not inferred — the server runs in-process, so the
+// deltas cover both sides of every exchange. A shard sweep follows. The
+// numbers land in BENCH_fig9_throughput.json (checked in; see
 // EXPERIMENTS.md for the re-record recipe).
 #include <cstdio>
 #include <thread>
@@ -54,18 +52,14 @@ net::IoCounters io_delta(const net::IoCounters& before, const net::IoCounters& a
   return d;
 }
 
-PhaseResult run_phase(bool batched, const std::vector<trace::TraceRecord>& batch,
+PhaseResult run_phase(const std::vector<trace::TraceRecord>& batch,
                       size_t query_bytes, TimeNs budget) {
   PhaseResult out;
-  // Fresh server per phase so the template cache and stats start cold and
-  // the scalar phase cannot ride on batched-phase state.
-  server::FrontendConfig fc;
-  fc.batched_udp = batched;
-  fc.response_cache_entries = batched ? 1024 : 0;
-  auto bg = server::BackgroundServer::start(bench::root_wildcard_server(), fc);
+  // Defaults: batched I/O + template cache, starting cold.
+  auto bg = server::BackgroundServer::start(bench::root_wildcard_server(),
+                                            server::FrontendConfig{});
   if (!bg.ok()) return out;
 
-  std::printf("  -- %s path --\n", batched ? "batched" : "scalar");
   std::printf("  %-8s %12s %12s\n", "t(s)", "rate(q/s)", "Mbit/s");
   net::IoCounters before = net::io_counters();
   TimeNs phase_start = mono_now_ns();
@@ -79,7 +73,6 @@ PhaseResult run_phase(bool batched, const std::vector<trace::TraceRecord>& batch
     cfg.distributors = 1;
     cfg.queriers_per_distributor = 2;
     cfg.drain_grace = 100 * kMilli;
-    cfg.batched_io = batched;
     replay::QueryEngine engine(cfg);
     auto report = engine.replay(batch);
     if (!report.ok()) break;
@@ -268,8 +261,7 @@ int main(int argc, char** argv) {
     batch.push_back(std::move(rec));
   }
 
-  PhaseResult scalar = run_phase(false, batch, query_bytes, 8 * kSecond);
-  PhaseResult batched = run_phase(true, batch, query_bytes, 8 * kSecond);
+  PhaseResult batched = run_phase(batch, query_bytes, 8 * kSecond);
 
   // Core sweep: 1/2/4 SO_REUSEPORT shards, engine shard count matched.
   std::printf("\n  shard sweep (SO_REUSEPORT serving + sharded querier pool):\n");
@@ -291,13 +283,6 @@ int main(int argc, char** argv) {
   std::printf("  one-shard send-side counters match single-loop path: %s\n",
               one_shard_match ? "yes" : "NO");
 
-  double speedup = scalar.rate_qps > 0 ? batched.rate_qps / scalar.rate_qps : 0;
-  double syscall_cut = batched.syscalls_per_query > 0
-      ? scalar.syscalls_per_query / batched.syscalls_per_query : 0;
-  std::printf("\n  batched vs scalar: %.2fx throughput, %.1fx fewer syscalls/query"
-              " (%.3f -> %.3f)\n",
-              speedup, syscall_cut, scalar.syscalls_per_query,
-              batched.syscalls_per_query);
   std::printf(
       "\n  Paper reference: 87k q/s (60 Mb/s) sustained flat for 5 minutes on a\n"
       "  4-core host, generator saturating one core.\n");
@@ -306,13 +291,10 @@ int main(int argc, char** argv) {
   report.field("bench", std::string("fig9_throughput"))
       .field("workload",
              std::string("200k identical www.example.com/A UDP queries, 6 sources, "
-                         "fast mode, repeated for ~8s per phase, loopback in-process "
+                         "fast mode, repeated for ~8s, loopback in-process "
                          "server (io counters cover both sides)"))
       .field("query_bytes", static_cast<uint64_t>(query_bytes))
-      .field("scalar", phase_json(scalar))
-      .field("batched", phase_json(batched))
-      .field("throughput_speedup", speedup)
-      .field("syscalls_per_query_reduction", syscall_cut);
+      .field("batched", phase_json(batched));
   for (size_t i = 0; i < 3; ++i) {
     bench::JsonObject p = phase_json(shard_phases[i]);
     p.field("answered_rate_qps", answered_rate(shard_phases[i]));

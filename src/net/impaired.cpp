@@ -2,67 +2,20 @@
 
 namespace ldp::net {
 
-Result<bool> ImpairedUdpSocket::send_to(const Endpoint& dst,
-                                        std::span<const uint8_t> payload) {
-  if (stream_ == nullptr) return sock_.send_to(dst, payload);
+void ImpairedUdpSocket::send_batch(std::span<const UdpSocket::OutDatagram> dgs,
+                                   std::vector<SendOutcome>& out) {
+  out.assign(dgs.size(), SendOutcome::Left);
 
-  fault::Verdict v = stream_->next(mono_now_ns());
-  if (v.is_drop()) return true;  // the link ate it; to the caller it left
-
-  if (v.extra_delay > 0 && loop_ != nullptr) {
-    // Held by the link: deliver from a timer (which needs an owned copy).
-    // Delivery failures at that point are indistinguishable from loss,
-    // which is exactly what a delayed-then-dropped packet is.
-    std::vector<uint8_t> bytes(payload.begin(), payload.end());
-    if (v.action == fault::Action::Corrupt) stream_->corrupt(bytes);
-    size_t copies = v.action == fault::Action::Duplicate ? 2 : 1;
-    loop_->add_timer_after(v.extra_delay,
-                           [this, dst, bytes = std::move(bytes), copies] {
-                             for (size_t i = 0; i < copies; ++i)
-                               (void)sock_.send_to(dst, bytes);
-                           });
-    return true;
-  }
-
-  if (v.action == fault::Action::Corrupt) {
-    // Corruption must not touch the caller's bytes (they may be retried).
-    std::vector<uint8_t> bytes(payload.begin(), payload.end());
-    stream_->corrupt(bytes);
-    return sock_.send_to(dst, bytes);
-  }
-
-  // Plain deliver (the common case) forwards the caller's bytes zero-copy.
-  auto sent = LDP_TRY(sock_.send_to(dst, payload));
-  if (v.action == fault::Action::Duplicate && sent) {
-    // Best-effort second copy; a full kernel buffer just drops the dup,
-    // which is fine — duplication is an impairment, not a guarantee.
-    (void)sock_.send_to(dst, payload);
-  }
-  return sent;
-}
-
-Result<void> ImpairedUdpSocket::send_batch(
-    std::span<const UdpSocket::OutDatagram> dgs, std::vector<uint8_t>& wire_out) {
-  wire_out.assign(dgs.size(), 0);
-  if (stream_ == nullptr) {
-    size_t accepted = LDP_TRY(sock_.send_batch(dgs));
-    std::fill(wire_out.begin(), wire_out.begin() + static_cast<long>(accepted), 1);
-    return Ok();
-  }
-
-  // Draw one verdict per input datagram up front, in input order — the
-  // scalar path consumes its draw before touching the kernel, so the batch
-  // must consume the whole schedule regardless of what sendmmsg later
-  // accepts. Survivors become wire entries for one chunked sendmmsg pass.
+  // Draw one verdict per input datagram up front, in input order, so the
+  // stream consumes the same schedule whatever the kernel later accepts.
+  // Survivors become wire entries for one chunked sendmmsg pass.
   entries_.clear();
   entry_owner_.clear();
   corrupt_scratch_.clear();
   for (size_t i = 0; i < dgs.size(); ++i) {
-    fault::Verdict v = stream_->next(mono_now_ns());
-    if (v.is_drop()) {
-      wire_out[i] = 1;  // the link ate it; to the caller it left
-      continue;
-    }
+    fault::Verdict v = stream_ != nullptr ? stream_->next(mono_now_ns())
+                                          : fault::Verdict{};
+    if (v.is_drop()) continue;  // the link ate it; to the caller it left
     std::span<const uint8_t> bytes = dgs[i].payload;
     if (v.action == fault::Action::Corrupt) {
       corrupt_scratch_.emplace_back(bytes.begin(), bytes.end());
@@ -70,6 +23,9 @@ Result<void> ImpairedUdpSocket::send_batch(
       bytes = corrupt_scratch_.back();
     }
     if (v.extra_delay > 0 && loop_ != nullptr) {
+      // Held by the link: deliver from a timer (which needs an owned copy).
+      // Delivery failures at that point are indistinguishable from loss,
+      // which is exactly what a delayed-then-dropped packet is.
       size_t copies = v.action == fault::Action::Duplicate ? 2 : 1;
       loop_->add_timer_after(
           v.extra_delay,
@@ -77,29 +33,34 @@ Result<void> ImpairedUdpSocket::send_batch(
            held = std::vector<uint8_t>(bytes.begin(), bytes.end()), copies] {
             for (size_t c = 0; c < copies; ++c) (void)sock_.send_to(dst, held);
           });
-      wire_out[i] = 1;
       continue;
     }
     entries_.push_back(UdpSocket::OutDatagram{dgs[i].dst, bytes});
     entry_owner_.push_back(i);
     if (v.action == fault::Action::Duplicate) {
-      // Adjacent second copy, best-effort like the scalar path: if the
-      // kernel's accepted prefix ends on it, only the dup is lost.
+      // Adjacent best-effort second copy: a full kernel buffer or an error
+      // on it loses only the duplicate.
       entries_.push_back(UdpSocket::OutDatagram{dgs[i].dst, bytes});
       entry_owner_.push_back(kDupEntry);
     }
   }
 
-  size_t accepted = 0;
-  if (!entries_.empty()) {
-    auto sent = sock_.send_batch(entries_);
-    if (!sent.ok()) return sent.error();
-    accepted = *sent;
+  auto resolve = [&](size_t e, SendOutcome o) {
+    if (entry_owner_[e] != kDupEntry) out[entry_owner_[e]] = o;
+  };
+  size_t e = 0;
+  while (e < entries_.size()) {
+    // A short prefix means the next entry hit a full buffer or a hard
+    // error; retrying the tail at once tells the two apart.
+    auto sent = sock_.send_batch(std::span(entries_).subspan(e));
+    if (!sent.ok()) {
+      resolve(e++, SendOutcome::Error);  // refused with zero progress
+    } else if (*sent == 0) {
+      for (; e < entries_.size(); ++e) resolve(e, SendOutcome::KernelFull);
+    } else {
+      e += *sent;
+    }
   }
-  for (size_t e = 0; e < accepted; ++e) {
-    if (entry_owner_[e] != kDupEntry) wire_out[entry_owner_[e]] = 1;
-  }
-  return Ok();
 }
 
 TcpSendOutcome impaired_tcp_send(TcpStream& tcp, fault::FaultStream* stream,

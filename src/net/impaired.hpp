@@ -34,26 +34,25 @@ class ImpairedUdpSocket {
   Result<Endpoint> local_endpoint() const { return sock_.local_endpoint(); }
   UdpSocket& inner() { return sock_; }
 
-  /// UdpSocket::send_to through the impairment stream. A dropped packet
-  /// reports wire success (true): from the caller's perspective it left —
-  /// the link ate it.
-  Result<bool> send_to(const Endpoint& dst, std::span<const uint8_t> payload);
+  /// What became of one datagram handed to send_batch.
+  enum class SendOutcome : uint8_t {
+    Left,        ///< on the wire, or eaten/held by the link: to the caller it left
+    KernelFull,  ///< EAGAIN/ENOBUFS: still the caller's to resend later
+    Error,       ///< the kernel refused this datagram (e.g. EMSGSIZE)
+  };
 
-  /// Batched send_to: one fault draw per datagram, consumed in input order —
-  /// exactly the sequence the scalar path would draw for the same sends —
-  /// regardless of how many sendmmsg calls the batch spans, so fixed-seed
-  /// impairment counters are identical between the scalar and batched paths.
-  /// `wire_out[i]` mirrors send_to's bool: true when datagram i left (or the
-  /// link ate it), false when the kernel buffer was full and the datagram is
-  /// still the caller's to retry. On a hard socket error no wire entry was
-  /// accepted by the kernel; the draws were still consumed.
-  Result<void> send_batch(std::span<const UdpSocket::OutDatagram> dgs,
-                          std::vector<uint8_t>& wire_out);
+  /// Send datagrams through the impairment stream with sendmmsg: one fault
+  /// draw per datagram, consumed in input order however many syscalls the
+  /// batch spans, so fixed-seed impairment counters depend only on how many
+  /// datagrams a stream was offered. `out[i]` is datagram i's outcome. A
+  /// datagram the kernel refuses is an Error and the ones after it still
+  /// go out; only a full kernel buffer leaves the rest KernelFull. A link
+  /// verdict (drop, delay) is already applied, so its datagram is Left.
+  void send_batch(std::span<const UdpSocket::OutDatagram> dgs,
+                  std::vector<SendOutcome>& out);
 
-  /// Receive passthrough (impairment is egress-side).
-  Result<std::optional<UdpSocket::Datagram>> recv() { return sock_.recv(); }
-
-  /// Batched receive passthrough; views follow UdpSocket::recv_batch rules.
+  /// Receive passthrough (impairment is egress-side); views follow
+  /// UdpSocket::recv_batch rules.
   Result<std::span<const UdpSocket::RecvView>> recv_batch() {
     return sock_.recv_batch();
   }
@@ -64,7 +63,7 @@ class ImpairedUdpSocket {
   EventLoop* loop_;
   // send_batch scratch, reused across calls: the post-draw wire entries,
   // which original datagram each maps back to (kDupEntry = best-effort
-  // duplicate with no wire status of its own), and owned copies of
+  // duplicate with no outcome of its own), and owned copies of
   // corrupted payloads (corruption must not touch the caller's bytes).
   static constexpr size_t kDupEntry = static_cast<size_t>(-1);
   std::vector<UdpSocket::OutDatagram> entries_;

@@ -249,7 +249,6 @@ struct Controller {
       assign.count = slots.size();
       assign.server = cfg.server;
       assign.timed = cfg.timed;
-      assign.batched_io = cfg.batched_io;
       assign.distributors = cfg.distributors;
       assign.queriers = cfg.queriers_per_distributor;
       assign.heartbeat_interval = cfg.heartbeat_interval;
@@ -497,7 +496,6 @@ struct Controller {
       EngineConfig ec;
       ec.server = cfg.server;
       ec.timed = cfg.timed;
-      ec.batched_io = cfg.batched_io;
       ec.distributors = cfg.distributors;
       ec.queriers_per_distributor = cfg.queriers_per_distributor;
       ec.checkpoint_interval = cfg.checkpoint_interval;

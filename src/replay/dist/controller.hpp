@@ -40,7 +40,6 @@ struct DistConfig {
   std::string trace_path;  ///< trace file every worker loads and slices
   Endpoint server;
   bool timed = true;
-  bool batched_io = true;
   size_t distributors = 1;
   size_t queriers_per_distributor = 2;
   std::string fault_spec;  ///< forwarded to workers verbatim ("" = clean)

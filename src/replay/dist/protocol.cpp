@@ -125,7 +125,6 @@ std::string encode_assign(const AssignMsg& m) {
      << "count " << m.count << "\n"
      << "server " << m.server.addr.to_string() << " " << m.server.port << "\n"
      << "timed " << (m.timed ? 1 : 0) << "\n"
-     << "batched " << (m.batched_io ? 1 : 0) << "\n"
      << "distributors " << m.distributors << "\n"
      << "queriers " << m.queriers << "\n"
      << "heartbeat " << m.heartbeat_interval << "\n"
@@ -159,10 +158,6 @@ Result<AssignMsg> parse_assign(const std::string& payload) {
       int v = 0;
       ls >> v;
       m.timed = v != 0;
-    } else if (key == "batched") {
-      int v = 0;
-      ls >> v;
-      m.batched_io = v != 0;
     } else if (key == "distributors") {
       ls >> m.distributors;
     } else if (key == "queriers") {

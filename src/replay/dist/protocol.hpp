@@ -31,7 +31,9 @@
 
 namespace ldp::replay::dist {
 
-inline constexpr uint32_t kProtocolVersion = 1;
+/// Bumped whenever a frame's fields change (2: ASSIGN lost `batched`), so a
+/// mismatched worker is refused at HELLO instead of misparsing ASSIGN.
+inline constexpr uint32_t kProtocolVersion = 2;
 /// Upper bound on one frame's payload — a whole checkpoint or report rides
 /// in one frame, but a corrupt length prefix must not allocate the moon.
 inline constexpr size_t kMaxFramePayload = 64u << 20;
@@ -97,7 +99,6 @@ struct AssignMsg {
   size_t count = 1;
   Endpoint server;
   bool timed = true;
-  bool batched_io = true;
   size_t distributors = 1;
   size_t queriers = 2;
   TimeNs heartbeat_interval = 250 * kMilli;

@@ -158,7 +158,6 @@ int run_worker(const WorkerOptions& opts) {
   EngineConfig cfg;
   cfg.server = assign->server;
   cfg.timed = assign->timed;
-  cfg.batched_io = assign->batched_io;
   cfg.distributors = assign->distributors;
   cfg.queriers_per_distributor = assign->queriers;
   cfg.checkpoint_interval = assign->checkpoint_interval;

@@ -234,30 +234,28 @@ class QueryEngine::Querier {
   }
 
  private:
-  // Staged-send modes (batched_io): each replicates its scalar call site's
-  // post-send bookkeeping exactly, so a fixed-seed batched run reports the
-  // same counters as a scalar one.
-  static constexpr uint8_t kStageFresh = 0;  ///< send_query first attempt
-  static constexpr uint8_t kStageAdopt = 1;  ///< adopt_pending resend
-  static constexpr uint8_t kStageRetry = 2;  ///< lifecycle retransmit
+  /// Which attempt a send is: a query's first, trace-scheduled send; a
+  /// resend of a query adopted from a failed sibling or a checkpoint; or a
+  /// retransmit after a timeout. The kinds differ in their deadline origin
+  /// and in how a failed send is accounted.
+  enum class SendKind : uint8_t { Fresh, Adopted, Retry };
 
   /// One UDP send waiting for the per-round sendmmsg flush. The pending
-  /// query lives here (not in the table) until the flush resolves whether
-  /// it reached the wire; staged_count_ keeps maybe_finish honest.
+  /// query lives here (not in the table) until the flush resolves its
+  /// outcome; staged_count_ keeps maybe_finish honest.
   struct StagedSend {
     PendingQuery pq;
-    uint8_t mode;
-    bool was_on_wire;  ///< kStageRetry only: wire_sent before this attempt
+    SendKind kind;
   };
 
   struct UdpSock {
     std::unique_ptr<net::ImpairedUdpSocket> sock;
     PendingTable pending;
-    // Batched-send staging: queries accumulated during one poll round,
-    // flushed FIFO with one sendmmsg by the loop's flush hook.
+    // Queries staged during one poll round, flushed FIFO with one
+    // send_batch by the loop's flush hook.
     std::vector<StagedSend> stage;
-    std::vector<net::UdpSocket::OutDatagram> stage_dgs;  // flush scratch
-    std::vector<uint8_t> wire_flags;                     // flush scratch
+    std::vector<net::UdpSocket::OutDatagram> stage_dgs;        // flush scratch
+    std::vector<net::ImpairedUdpSocket::SendOutcome> outcomes;  // flush scratch
   };
 
   struct TcpConn {
@@ -336,8 +334,7 @@ class QueryEngine::Querier {
     auto add = loop_.add_fd(wake_fd_.get(), net::Interest{true, false},
                             [this](bool, bool) { on_wake(); });
     if (add.ok()) {
-      if (config_.batched_io)
-        loop_.add_flush_hook([this] { flush_all_udp(); });
+      loop_.add_flush_hook([this] { flush_all_udp(); });
       if (config_.supervise) {
         arm_heartbeat();
         if (config_.fault.has_value() &&
@@ -400,30 +397,21 @@ class QueryEngine::Querier {
       s.partial.impairments.merge(stream->counters());
       s.streams[name] = stream->position(clock_.real_origin());
     }
-    auto snap_pending = [&](const PendingTable& table) {
-      table.for_each([&](const PendingQuery& pq) {
-        CheckpointPending cp;
-        cp.record = record_of(pq);
-        cp.transport = pq.transport;
-        cp.retries_used = pq.retries_used;
-        cp.payload = pq.payload;
-        s.pending.push_back(std::move(cp));
-      });
+    auto snap_pending = [&](const PendingQuery& pq) {
+      CheckpointPending cp;
+      cp.record = record_of(pq);
+      cp.transport = pq.transport;
+      cp.retries_used = pq.retries_used;
+      cp.payload = pq.payload;
+      s.pending.push_back(std::move(cp));
     };
     for (const auto& [source, us] : udp_socks_) {
-      snap_pending(us->pending);
+      us->pending.for_each(snap_pending);
       // Staged sends are in flight for checkpoint purposes: losing them on
       // resume would silently drop queries the schedule already committed.
-      for (const auto& st : us->stage) {
-        CheckpointPending cp;
-        cp.record = record_of(st.pq);
-        cp.transport = st.pq.transport;
-        cp.retries_used = st.pq.retries_used;
-        cp.payload = st.pq.payload;
-        s.pending.push_back(std::move(cp));
-      }
+      for (const auto& st : us->stage) snap_pending(st.pq);
     }
-    for (const auto& [source, conn] : tcp_conns_) snap_pending(conn->pending);
+    for (const auto& [source, conn] : tcp_conns_) conn->pending.for_each(snap_pending);
     for (const auto& [source, n] : sent_per_source_)
       s.sent[source.to_string()] = n;
     std::lock_guard lock(snap_mu_);
@@ -480,40 +468,17 @@ class QueryEngine::Querier {
       sr.send_time = now;
       pq.first_send = now;
     }
-    auto fail = [&] {
-      ++report_.send_errors;
-      if (sr.outcome == QueryOutcome::Pending) {
-        sr.outcome = QueryOutcome::Errored;
-        ++report_.lifecycle.expired;
-      }
-    };
     if (pq.transport == Transport::Udp) {
       UdpSock* us = udp_socket_for(pq.source);
       if (us == nullptr) {
-        fail();
+        fail_send(pq, SendKind::Adopted);
         return;
       }
-      if (config_.batched_io) {
-        stage_udp(*us, std::move(pq), kStageAdopt, false);
-        return;
-      }
-      auto sent = us->sock->send_to(config_.server, pq.payload);
-      if (!sent.ok()) {
-        fail();
-        return;
-      }
-      pq.wire_sent = *sent;
-      if (!pq.wire_sent) ++report_.lifecycle.deferred_sends;
-      pq.deadline =
-          now + (pq.wire_sent ? config_.query_timeout : kDeferredSendDelay);
-      TimeNs deadline = pq.deadline;
-      if (us->pending.insert(std::move(pq))) ++report_.lifecycle.duplicate_ids;
-      note_in_flight(+1);
-      schedule_lifecycle(deadline);
+      stage_udp(*us, std::move(pq), SendKind::Adopted);
     } else {
       TcpConn* conn = tcp_conn_for(pq.source);
       if (conn == nullptr) {
-        fail();
+        fail_send(pq, SendKind::Adopted);
         return;
       }
       conn->last_activity = now;
@@ -571,11 +536,6 @@ class QueryEngine::Querier {
         std::max(report_.max_in_flight, static_cast<uint64_t>(in_flight_));
   }
 
-  void fail_send(size_t index) {
-    ++report_.send_errors;
-    report_.sends[index].outcome = QueryOutcome::Errored;
-  }
-
   void send_query(const TraceRecord& rec) {
     size_t index = report_.sends.size();
     SendRecord sr;
@@ -603,36 +563,14 @@ class QueryEngine::Querier {
     if (rec.transport == Transport::Udp) {
       UdpSock* us = udp_socket_for(rec.src.addr);
       if (us == nullptr) {
-        fail_send(index);
+        fail_send(pq, SendKind::Fresh);
         return;
       }
-      if (config_.batched_io) {
-        stage_udp(*us, std::move(pq), kStageFresh, false);
-        return;
-      }
-      auto sent = us->sock->send_to(config_.server, pq.payload);
-      if (!sent.ok()) {
-        fail_send(index);
-        return;
-      }
-      if (*sent) {
-        pq.deadline = pq.first_send + config_.query_timeout;
-      } else {
-        // Kernel buffer full: the query stays alive in the pending table
-        // and the lifecycle timer puts it on the wire shortly — it is
-        // deferred, not silently lost.
-        pq.wire_sent = false;
-        pq.deadline = pq.first_send + kDeferredSendDelay;
-        ++report_.lifecycle.deferred_sends;
-      }
-      TimeNs deadline = pq.deadline;
-      if (us->pending.insert(std::move(pq))) ++report_.lifecycle.duplicate_ids;
-      note_in_flight(+1);
-      schedule_lifecycle(deadline);
+      stage_udp(*us, std::move(pq), SendKind::Fresh);
     } else {
       TcpConn* conn = tcp_conn_for(rec.src.addr);
       if (conn == nullptr) {
-        fail_send(index);
+        fail_send(pq, SendKind::Fresh);
         return;
       }
       conn->last_activity = sr.send_time;
@@ -685,14 +623,14 @@ class QueryEngine::Querier {
     return raw;
   }
 
-  // ---- batched UDP send path (batched_io) ----
+  // ---- UDP send path: stage, then one send_batch per socket per round ----
 
-  void stage_udp(UdpSock& us, PendingQuery pq, uint8_t mode, bool was_on_wire) {
-    us.stage.push_back(StagedSend{std::move(pq), mode, was_on_wire});
+  void stage_udp(UdpSock& us, PendingQuery pq, SendKind kind) {
+    us.stage.push_back(StagedSend{std::move(pq), kind});
     ++staged_count_;
   }
 
-  /// Flush-hook body: one sendmmsg per socket covers everything staged
+  /// Flush-hook body: one send_batch per socket covers everything staged
   /// during this poll round (the hook runs after due timers and before the
   /// loop blocks, so no send ever sits across an epoll_wait).
   void flush_all_udp() {
@@ -701,6 +639,8 @@ class QueryEngine::Querier {
     maybe_finish();
   }
 
+  /// Each staged send resolves on its own outcome, FIFO: a refused
+  /// datagram fails only its query, a full kernel buffer defers it.
   void flush_udp(UdpSock& us) {
     if (us.stage.empty()) return;
     std::vector<StagedSend> batch;
@@ -709,34 +649,35 @@ class QueryEngine::Querier {
     us.stage_dgs.clear();
     for (const auto& st : batch)
       us.stage_dgs.push_back({config_.server, st.pq.payload});
-    auto res = us.sock->send_batch(us.stage_dgs, us.wire_flags);
+    us.sock->send_batch(us.stage_dgs, us.outcomes);
     TimeNs now = mono_now_ns();
-    if (!res.ok()) {
-      for (auto& st : batch) fail_staged(std::move(st));
-      return;
+    using Outcome = net::ImpairedUdpSocket::SendOutcome;
+    for (size_t i = 0; i < batch.size(); ++i) {
+      if (us.outcomes[i] == Outcome::Error) {
+        fail_send(batch[i].pq, batch[i].kind);
+      } else {
+        finish_udp_send(us, std::move(batch[i]),
+                        us.outcomes[i] == Outcome::Left, now);
+      }
     }
-    // FIFO resolution preserves the scalar path's accounting order; a
-    // wire_flags entry of 0 is the batched spelling of send_to() == false
-    // (kernel buffer full: deferred, retried by the lifecycle timer).
-    for (size_t i = 0; i < batch.size(); ++i)
-      finish_udp_send(us, std::move(batch[i]), us.wire_flags[i] != 0, now);
   }
 
-  /// The batched spelling of each scalar call site's send-error branch.
-  void fail_staged(StagedSend st) {
-    SendRecord& sr = record_of(st.pq);
+  /// Account a send that can never reach the wire (no socket or connection
+  /// for the source, or the kernel refused the datagram).
+  void fail_send(PendingQuery& pq, SendKind kind) {
+    SendRecord& sr = record_of(pq);
     ++report_.send_errors;
-    switch (st.mode) {
-      case kStageFresh:
+    switch (kind) {
+      case SendKind::Fresh:  // never in flight
         sr.outcome = QueryOutcome::Errored;
         break;
-      case kStageAdopt:
+      case SendKind::Adopted:  // the original attempt may already be resolved
         if (sr.outcome == QueryOutcome::Pending) {
           sr.outcome = QueryOutcome::Errored;
           ++report_.lifecycle.expired;
         }
         break;
-      default:  // kStageRetry
+      case SendKind::Retry:  // was in flight: it expires here
         ++report_.lifecycle.expired;
         sr.outcome = QueryOutcome::Errored;
         note_in_flight(-1);
@@ -744,19 +685,24 @@ class QueryEngine::Querier {
     }
   }
 
-  /// Post-send bookkeeping for one flushed entry, mode-exact against the
-  /// scalar call sites in send_query / adopt_pending / handle_udp_due.
+  /// Post-send bookkeeping for one flushed entry. `on_wire` false means the
+  /// kernel buffer was full: the query waits in the pending table and the
+  /// lifecycle timer sends it again shortly — deferred, not lost.
   void finish_udp_send(UdpSock& us, StagedSend st, bool on_wire, TimeNs now) {
     PendingQuery pq = std::move(st.pq);
-    if (st.mode == kStageRetry) {
+    if (st.kind == SendKind::Retry) {
+      // wire_sent still says whether an earlier attempt reached the wire.
       SendRecord& sr = record_of(pq);
-      if (st.was_on_wire) {
+      bool was_on_wire = pq.wire_sent;
+      if (was_on_wire) {
         ++report_.lifecycle.retries;
         ++sr.retries;
       } else if (on_wire) {
+        // First time this query reached the wire; latency still counts
+        // from the original send attempt.
         ++report_.lifecycle.deferred_sends;
       }
-      pq.wire_sent = st.was_on_wire || on_wire;
+      pq.wire_sent = was_on_wire || on_wire;
       pq.deadline = now + (pq.wire_sent
                                ? retry_backoff(config_.query_timeout,
                                                pq.retries_used,
@@ -771,7 +717,7 @@ class QueryEngine::Querier {
     // in the deadline origin (trace send time vs adoption time).
     pq.wire_sent = on_wire;
     if (!on_wire) ++report_.lifecycle.deferred_sends;
-    TimeNs base = st.mode == kStageFresh ? pq.first_send : now;
+    TimeNs base = st.kind == SendKind::Fresh ? pq.first_send : now;
     pq.deadline = base + (on_wire ? config_.query_timeout : kDeferredSendDelay);
     TimeNs deadline = pq.deadline;
     if (us.pending.insert(std::move(pq))) ++report_.lifecycle.duplicate_ids;
@@ -852,29 +798,17 @@ class QueryEngine::Querier {
   }
 
   void on_udp_readable(UdpSock* us) {
-    if (config_.batched_io) {
-      // Drain with recvmmsg: the views alias the socket's receive arena,
-      // valid until the next recv_batch call — match_response consumes
-      // them before then.
-      while (true) {
-        auto batch = us->sock->recv_batch();
-        if (!batch.ok()) {
-          ++report_.lifecycle.socket_errors;
-          return;
-        }
-        if (batch->empty()) return;
-        for (const auto& view : *batch)
-          match_response(view.payload, us->pending);
-      }
-    }
+    // Drain with recvmmsg: the views alias the socket's receive arena,
+    // valid until the next recv_batch call — match_response consumes them
+    // before then.
     while (true) {
-      auto dg = us->sock->recv();
-      if (!dg.ok()) {
+      auto batch = us->sock->recv_batch();
+      if (!batch.ok()) {
         ++report_.lifecycle.socket_errors;
         return;
       }
-      if (!dg->has_value()) return;
-      match_response((**dg).payload, us->pending);
+      if (batch->empty()) return;
+      for (const auto& view : *batch) match_response(view.payload, us->pending);
     }
   }
 
@@ -999,7 +933,7 @@ class QueryEngine::Querier {
     TimeNs now = mono_now_ns();
     for (auto& [source, us] : udp_socks_) {
       for (auto& pq : us->pending.take_due(now))
-        handle_udp_due(*us, std::move(pq), now);
+        handle_udp_due(*us, std::move(pq));
     }
     // Collect due TCP entries first: handling one may close/reopen
     // connections, which mutates tcp_conns_ mid-iteration otherwise.
@@ -1023,7 +957,7 @@ class QueryEngine::Querier {
     if (next.has_value()) schedule_lifecycle(*next);
   }
 
-  void handle_udp_due(UdpSock& us, PendingQuery pq, TimeNs now) {
+  void handle_udp_due(UdpSock& us, PendingQuery pq) {
     SendRecord& sr = record_of(pq);
     if (pq.wire_sent) ++report_.lifecycle.timeouts;
     if (pq.retries_used >= config_.max_retries) {
@@ -1033,34 +967,7 @@ class QueryEngine::Querier {
       return;
     }
     ++pq.retries_used;
-    bool was_on_wire = pq.wire_sent;
-    if (config_.batched_io) {
-      stage_udp(us, std::move(pq), kStageRetry, was_on_wire);
-      return;
-    }
-    auto sent = us.sock->send_to(config_.server, pq.payload);
-    if (!sent.ok()) {
-      ++report_.send_errors;
-      ++report_.lifecycle.expired;
-      sr.outcome = QueryOutcome::Errored;
-      note_in_flight(-1);
-      return;
-    }
-    if (was_on_wire) {
-      ++report_.lifecycle.retries;
-      ++sr.retries;
-    } else if (*sent) {
-      // First time this query actually reached the wire; latency still
-      // counts from the original send attempt.
-      ++report_.lifecycle.deferred_sends;
-    }
-    pq.wire_sent = was_on_wire || *sent;
-    pq.deadline = now + (pq.wire_sent
-                             ? retry_backoff(config_.query_timeout,
-                                             pq.retries_used,
-                                             config_.retry_backoff_cap)
-                             : kDeferredSendDelay);
-    us.pending.insert(std::move(pq));  // reinsert: not a fresh collision
+    stage_udp(us, std::move(pq), SendKind::Retry);
   }
 
   void handle_tcp_due(const IpAddr& source, PendingQuery pq, TimeNs now) {
@@ -1075,10 +982,7 @@ class QueryEngine::Querier {
     ++pq.retries_used;
     TcpConn* conn = tcp_conn_for(source);  // reuse, or reopen if it vanished
     if (conn == nullptr) {
-      ++report_.send_errors;
-      ++report_.lifecycle.expired;
-      sr.outcome = QueryOutcome::Errored;
-      note_in_flight(-1);
+      fail_send(pq, SendKind::Retry);
       return;
     }
     ++report_.lifecycle.retries;
@@ -1144,7 +1048,7 @@ class QueryEngine::Querier {
   void finalize_report() {
     // Put any still-staged sends on the wire (or into the pending tables,
     // where the abandonment sweep below accounts them) before counting.
-    if (config_.batched_io) flush_all_udp();
+    flush_all_udp();
     // Refuse further adoptions, then account anything still in the inbox —
     // orphans that arrived too late to resend are errored, never lost.
     std::vector<PendingQuery> leftover;

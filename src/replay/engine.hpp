@@ -79,13 +79,6 @@ struct EngineConfig {
   bool tcp_reconnect = true;
   uint32_t max_tcp_reconnects = 2;
   size_t queue_capacity = 4096;
-  /// Batched UDP I/O: queries staged during one event-loop round leave in a
-  /// single sendmmsg per socket (flushed before the loop blocks), and
-  /// responses drain via recvmmsg. Post-send accounting replicates the
-  /// scalar path exactly, so fixed-seed runs report identical counters
-  /// either way. Off = one syscall per datagram (kept for A/B measurement
-  /// and the scalar/batched equivalence tests).
-  bool batched_io = true;
   /// Live query mutation (§2.2: "query mutator can run live with query
   /// replay"): applied by the controller to each record before dispatch.
   /// The pipeline must outlive the replay. Records the mutator drops or

@@ -1,6 +1,7 @@
 #include "server/frontend.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <sstream>
 
 #include "util/log.hpp"
@@ -75,16 +76,26 @@ Result<std::unique_ptr<ServerFrontend>> ServerFrontend::start(net::EventLoop& lo
     fe->udp_fault_ = std::make_unique<fault::FaultStream>(*config.fault, "srv:udp");
     fe->tcp_fault_ = std::make_unique<fault::FaultStream>(*config.fault, "srv:tcp");
   }
-  auto udp_sock = LDP_TRY(net::UdpSocket::bind(config.bind, config.reuse_port));
-  fe->udp_.emplace(std::move(udp_sock), fe->udp_fault_.get(), &loop);
+  // TCP listens on the port UDP got (so port 0 requests line up). The
+  // kernel picks an ephemeral UDP port without looking at TCP, so that port
+  // may already be a TCP socket's: then try another pair.
+  for (int attempt = 1;; ++attempt) {
+    auto udp_sock = LDP_TRY(net::UdpSocket::bind(config.bind, config.reuse_port));
+    Endpoint tcp_bind = config.bind;
+    tcp_bind.port = LDP_TRY(udp_sock.local_endpoint()).port;
+    auto listener = net::TcpListener::listen(tcp_bind, 512, config.reuse_port);
+    if (listener.ok()) {
+      fe->udp_.emplace(std::move(udp_sock), fe->udp_fault_.get(), &loop);
+      fe->listener_ = std::move(*listener);
+      fe->endpoint_ = tcp_bind;
+      break;
+    }
+    if (config.bind.port != 0 || listener.error().sys_errno != EADDRINUSE ||
+        attempt == 8)
+      return listener.error();
+  }
   if (config.response_cache_entries > 0)
     fe->cache_.emplace(config.response_cache_entries);
-  fe->endpoint_ = LDP_TRY(fe->udp_->local_endpoint());
-  // TCP listens on the port UDP got (so port 0 requests line up).
-  Endpoint tcp_bind = config.bind;
-  tcp_bind.port = fe->endpoint_.port;
-  fe->listener_ =
-      LDP_TRY(net::TcpListener::listen(tcp_bind, 512, config.reuse_port));
 
   ServerFrontend* raw = fe.get();
   LDP_TRY_VOID(loop.add_fd(fe->udp_->fd(), net::Interest{true, false},
@@ -148,32 +159,10 @@ void ServerFrontend::update_overload() {
 }
 
 void ServerFrontend::on_udp_readable() {
-  if (!config_.batched_udp) {
-    // Scalar path: one recvfrom/sendto pair per datagram (kept for A/B
-    // measurement and equivalence tests). Drain the socket: under load
-    // many datagrams arrive per wakeup.
-    while (true) {
-      auto dg = udp_->recv();
-      if (!dg.ok() || !dg->has_value()) return;
-      const auto& datagram = **dg;
-      if (overloaded_) {
-        std::vector<uint8_t> degraded;
-        if (degrade_query(datagram.payload, &degraded)) {
-          if (!degraded.empty()) (void)udp_->send_to(datagram.from, degraded);
-          continue;
-        }
-      }
-      auto reply = server_.answer_wire(datagram.payload, datagram.from.addr,
-                                       config_.udp_payload_limit);
-      if (reply.has_value()) {
-        (void)udp_->send_to(datagram.from, *reply);
-      }
-    }
-  }
-  // Batched path: recvmmsg the queries, answer into the reply arena, and
-  // flush each inbound batch's replies with one sendmmsg. The flush must
-  // happen per batch — the next recv_batch call recycles the arena slots
-  // the query views point into.
+  // recvmmsg the queries, answer into the reply arena, and flush each
+  // inbound batch's replies with one sendmmsg. The flush must happen per
+  // batch — the next recv_batch call recycles the arena slots the query
+  // views point into.
   while (true) {
     auto batch = udp_->recv_batch();
     if (!batch.ok() || batch->empty()) return;
@@ -245,9 +234,9 @@ void ServerFrontend::handle_udp_query(const Endpoint& from,
 
 void ServerFrontend::flush_udp_replies() {
   if (!udp_out_.empty()) {
-    // Best-effort like the scalar path's ignored send_to result: a reply
-    // the kernel would not take is indistinguishable from a lost one.
-    (void)udp_->send_batch(udp_out_, udp_wire_flags_);
+    // Best-effort: a reply the kernel would not take is indistinguishable
+    // from a lost one.
+    udp_->send_batch(udp_out_, udp_send_outcomes_);
     udp_out_.clear();
   }
   udp_out_used_ = 0;

@@ -43,11 +43,6 @@ struct FrontendConfig {
   LimitsConfig limits;
   /// Overload degradation policy (None = never degrade).
   OverloadConfig overload;
-  /// Batched UDP I/O: drain queries with recvmmsg and flush the replies of
-  /// each inbound batch with one sendmmsg, instead of one syscall per
-  /// datagram. Off = the scalar pre-batching path (kept for A/B measurement
-  /// and the scalar/batched equivalence tests).
-  bool batched_udp = true;
   /// Response template cache entries (0 disables): identical UDP queries
   /// are answered from a pre-rendered template with only the DNS ID and RD
   /// bit patched. Automatically bypassed for rotate_answers servers and
@@ -166,7 +161,7 @@ class ServerFrontend {
   using ConnIter = std::list<Connection>::iterator;
 
   void on_udp_readable();
-  /// Answer one UDP query on the batched path, staging the reply.
+  /// Answer one UDP query, staging the reply for the batch's sendmmsg.
   void handle_udp_query(const Endpoint& from, std::span<const uint8_t> query);
   /// One sendmmsg flush of the replies staged for the current inbound batch.
   void flush_udp_replies();
@@ -208,14 +203,14 @@ class ServerFrontend {
   net::EventLoop::TimerId sweep_timer_ = 0;
   bool overloaded_ = false;
   bool shut_down_ = false;
-  // --- batched UDP reply path ----------------------------------------------
+  // --- UDP reply path --------------------------------------------------------
   std::optional<ResponseCache> cache_;
   // Replies staged for the current inbound batch: spans in udp_out_ point
   // into udp_out_bufs_ slots (reused across batches; cleared by the flush).
   std::vector<net::UdpSocket::OutDatagram> udp_out_;
   std::vector<std::vector<uint8_t>> udp_out_bufs_;
   size_t udp_out_used_ = 0;
-  std::vector<uint8_t> udp_wire_flags_;  ///< send_batch scratch
+  std::vector<net::ImpairedUdpSocket::SendOutcome> udp_send_outcomes_;  // scratch
 };
 
 }  // namespace ldp::server

@@ -73,6 +73,16 @@ Result<uint64_t> parse_u64(std::string_view s) {
   return v;
 }
 
+Result<uint64_t> parse_u64_in(std::string_view s, uint64_t lo, uint64_t hi) {
+  if (s.empty() || s.find_first_not_of("0123456789") != std::string_view::npos)
+    return Err("wants a plain integer, got '" + std::string(s) + "'");
+  auto v = parse_u64(s);  // all digits: fails only on overflow
+  if (!v.ok() || *v < lo || *v > hi)
+    return Err("must be between " + std::to_string(lo) + " and " +
+               std::to_string(hi) + ", got " + std::string(s));
+  return *v;
+}
+
 Result<int64_t> parse_seconds_ns(std::string_view s) {
   if (s.empty() || s[0] == '-') return Err("invalid seconds: " + std::string(s));
   auto dot = s.find('.');

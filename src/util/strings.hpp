@@ -33,6 +33,11 @@ bool ends_with(std::string_view s, std::string_view suffix);
 /// Parse an unsigned decimal integer; rejects trailing junk and overflow.
 Result<uint64_t> parse_u64(std::string_view s);
 
+/// Strict integer option value for the tools: plain decimal digits (no
+/// sign, space or junk) in [lo, hi]. The error says which rule failed
+/// ("wants a plain integer, got 'x'" / "must be between 1 and 64, got 0").
+Result<uint64_t> parse_u64_in(std::string_view s, uint64_t lo, uint64_t hi);
+
 /// Parse a decimal seconds value ("12.345678") into integer nanoseconds.
 /// Accepts up to 9 fractional digits; rejects negative values and junk.
 Result<int64_t> parse_seconds_ns(std::string_view s);

@@ -131,6 +131,24 @@ if $REPLAY --shards banana trace.ldpb 127.0.0.1 $PORT3 2>> badshards.log; then
 fi
 grep -q "plain integer" badshards.log || { echo "missing replay --shards error"; exit 1; }
 
+echo "== ports and sizes are range-checked, never wrapped or ignored"
+# timeout: a server that wrongly accepted the flag would serve forever.
+if timeout 5 $SERVER --port 70000 example.zone 2> badints.log; then
+  echo "server --port 70000 was accepted"; exit 1
+fi
+grep -q "bad --port: must be between 0 and 65535" badints.log \
+  || { echo "missing server --port range error"; exit 1; }
+if timeout 5 $SERVER --cache x example.zone 2>> badints.log; then
+  echo "server --cache x was accepted"; exit 1
+fi
+grep -q "bad --cache: wants a plain integer" badints.log \
+  || { echo "missing server --cache error"; exit 1; }
+if $REPLAY --fast trace.ldpb 127.0.0.1 70000 2>> badints.log; then
+  echo "replay port 70000 was accepted"; exit 1
+fi
+grep -q "bad port: must be between 1 and 65535" badints.log \
+  || { echo "missing replay port range error"; exit 1; }
+
 echo "== sharded checkpoint / kill -9 / --shards 4 --resume round trip"
 PORT4=$(( (RANDOM % 10000) + 20000 ))
 $SERVER --port $PORT4 example.zone &

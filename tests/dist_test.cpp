@@ -106,7 +106,6 @@ TEST(DistProtocol, HelloAssignStartRoundTrip) {
   assign.count = 4;
   assign.server = Endpoint{IpAddr{Ip4{127, 0, 0, 1}}, 5353};
   assign.timed = false;
-  assign.batched_io = false;
   assign.distributors = 3;
   assign.queriers = 5;
   assign.heartbeat_interval = 123 * kMilli;
@@ -119,7 +118,6 @@ TEST(DistProtocol, HelloAssignStartRoundTrip) {
   EXPECT_EQ(a->count, 4u);
   EXPECT_EQ(a->server.to_string(), "127.0.0.1:5353");
   EXPECT_FALSE(a->timed);
-  EXPECT_FALSE(a->batched_io);
   EXPECT_EQ(a->distributors, 3u);
   EXPECT_EQ(a->queriers, 5u);
   EXPECT_EQ(a->heartbeat_interval, 123 * kMilli);
@@ -134,6 +132,13 @@ TEST(DistProtocol, HelloAssignStartRoundTrip) {
   ASSERT_TRUE(a2.ok());
   EXPECT_TRUE(a2->resume.empty());
   EXPECT_TRUE(a2->fault_spec.empty());
+
+  // An ASSIGN from a version-1 controller still carries the removed
+  // `batched` knob: an unknown field, rejected rather than ignored.
+  auto old = replay::dist::parse_assign("index 0\ncount 1\nbatched 1\n");
+  ASSERT_FALSE(old.ok());
+  EXPECT_NE(old.error().message.find("unknown field 'batched'"), std::string::npos)
+      << old.error().message;
 
   // Out-of-range slice indices are a parse error, not a crash later.
   assign.index = 9;

@@ -15,6 +15,7 @@
 
 #include "expect_counters.hpp"
 #include "fault/fault.hpp"
+#include "fault_reference.hpp"
 #include "proxy/pipeline.hpp"
 #include "server/background.hpp"
 #include "server/shard.hpp"
@@ -58,24 +59,6 @@ std::vector<TraceRecord> fixed_trace(size_t queries, size_t clients,
   return synth::make_fixed_trace(spec);
 }
 
-/// What the engine's per-source streams must report for a timing-free
-/// scenario (loss/dup/corrupt only): drive a reference stream per source
-/// for exactly the number of sends that source performs.
-fault::ImpairmentCounters reference_counters(const fault::FaultSpec& spec,
-                                             const std::vector<TraceRecord>& trace,
-                                             const char* prefix) {
-  std::map<std::string, size_t> sends_per_stream;
-  for (const auto& rec : trace)
-    ++sends_per_stream[std::string(prefix) + rec.src.addr.to_string()];
-  fault::ImpairmentCounters total;
-  for (const auto& [name, n] : sends_per_stream) {
-    fault::FaultStream ref(spec, name);
-    for (size_t i = 0; i < n; ++i) (void)ref.next(static_cast<TimeNs>(i));
-    total.merge(ref.counters());
-  }
-  return total;
-}
-
 // ---------------------------------------------------------------------------
 // UDP path: exact counter outcomes for a fixed seed.
 // ---------------------------------------------------------------------------
@@ -101,7 +84,7 @@ TEST(FaultScenarios, UdpLossExactCounters) {
   auto report = engine.replay(trace);
   ASSERT_TRUE(report.ok()) << report.error().message;
 
-  fault::ImpairmentCounters expected = reference_counters(spec, trace, "udp:");
+  fault::ImpairmentCounters expected = reference_counters(spec, trace).impairments;
   EXPECT_GT(expected.dropped, 0u);
   EXPECT_EQ(report->impairments, expected);
   EXPECT_EQ(report->queries_sent, trace.size());
@@ -156,7 +139,7 @@ TEST(FaultScenarios, FixedSeedScenarioByteIdenticalAcrossRunsAndRuntimes) {
   EXPECT_EQ(sim1.queries_lost, run1->impairments.lost());
 
   // And against the closed-form reference.
-  EXPECT_EQ(run1->impairments, reference_counters(spec, trace, "udp:"));
+  EXPECT_EQ(run1->impairments, reference_counters(spec, trace).impairments);
 }
 
 // ---------------------------------------------------------------------------

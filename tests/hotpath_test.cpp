@@ -1,9 +1,10 @@
 // UDP hot-path regression suite (`ctest -L hotpath` / check_hotpath):
 // sendmmsg/recvmmsg batching (chunking, partial-batch prefixes, would-block
-// handling), the addressing and TCP-framing fixes that rode along, seeded
-// impairment-draw equivalence between the scalar and batched send paths,
-// scalar-vs-batched replay-engine equivalence under a fixed-seed fault
-// scenario, the response template cache (byte-identical patched replies,
+// handling), the addressing and TCP-framing fixes that rode along, the
+// impaired send_batch against a closed-form per-datagram draw schedule
+// (including a hard error mid-batch), replay-engine counters against the
+// closed-form fault reference, a mid-batch send error failing only its own
+// query, the response template cache (byte-identical patched replies,
 // DO-bit keying, revision invalidation, LRU bounds), and the in-place name
 // decoder against its hostile-input contract.
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "dns/name.hpp"
 #include "expect_counters.hpp"
 #include "fault/fault.hpp"
+#include "fault_reference.hpp"
 #include "net/event_loop.hpp"
 #include "net/impaired.hpp"
 #include "net/socket.hpp"
@@ -207,10 +209,11 @@ TEST(IoCountersT, BatchedPathAmortizesSyscalls) {
 }
 
 // ---------------------------------------------------------------------------
-// Seeded impairment-draw equivalence: the batched path must consume the
-// per-packet draw schedule in input order, exactly as the scalar path does,
-// so fixed-seed counters are identical however sends are batched.
+// Impaired send_batch against the closed-form draw schedule: one verdict per
+// datagram, drawn in input order, however the sends are batched.
 // ---------------------------------------------------------------------------
+
+using SendOutcome = net::ImpairedUdpSocket::SendOutcome;
 
 fault::FaultSpec lossy_spec() {
   fault::FaultSpec spec;
@@ -221,61 +224,112 @@ fault::FaultSpec lossy_spec() {
   return spec;
 }
 
+/// What the link delivers for `payloads` under a bare stream drawn once per
+/// datagram: each verdict applied to its payload (dropped, corrupted,
+/// doubled), except for the datagram at index `refused`, which the kernel
+/// rejects (its draws are still consumed).
+std::vector<std::vector<uint8_t>> reference_delivery(
+    fault::FaultStream& ref, const std::vector<std::vector<uint8_t>>& payloads,
+    size_t refused = static_cast<size_t>(-1)) {
+  std::vector<std::vector<uint8_t>> out;
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    fault::Verdict v = ref.next(mono_now_ns());
+    if (v.is_drop()) continue;
+    std::vector<uint8_t> bytes = payloads[i];
+    if (v.action == fault::Action::Corrupt) ref.corrupt(bytes);
+    if (i == refused) continue;
+    out.push_back(bytes);
+    if (v.action == fault::Action::Duplicate) out.push_back(bytes);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 TEST(ImpairedBatchT, FixedSeedDrawScheduleMatchesScalar) {
   constexpr size_t kPackets = 64;
   fault::FaultSpec spec = lossy_spec();
-
-  // Scalar reference: one send_to per datagram.
-  auto rx1 = net::UdpSocket::bind(kLoopback);
-  auto tx1 = net::UdpSocket::bind(kLoopback);
-  ASSERT_TRUE(rx1.ok() && tx1.ok());
-  fault::FaultStream scalar_stream(spec, "equiv");
-  net::ImpairedUdpSocket scalar(std::move(*tx1), &scalar_stream);
-  Endpoint dst1 = *rx1->local_endpoint();
-  for (size_t i = 0; i < kPackets; ++i) {
-    auto sent = scalar.send_to(dst1, make_payload(i));
-    ASSERT_TRUE(sent.ok());
-    EXPECT_TRUE(*sent);
-  }
-
-  // Batched: same datagrams in uneven chunks (7 at a time) so draws cross
-  // both caller-batch and internal sendmmsg boundaries.
-  auto rx2 = net::UdpSocket::bind(kLoopback);
-  auto tx2 = net::UdpSocket::bind(kLoopback);
-  ASSERT_TRUE(rx2.ok() && tx2.ok());
-  fault::FaultStream batched_stream(spec, "equiv");
-  net::ImpairedUdpSocket batched(std::move(*tx2), &batched_stream);
-  Endpoint dst2 = *rx2->local_endpoint();
   std::vector<std::vector<uint8_t>> payloads;
   for (size_t i = 0; i < kPackets; ++i) payloads.push_back(make_payload(i));
-  std::vector<uint8_t> wire;
+
+  // Batched in uneven chunks (7 at a time) so draws cross both caller-batch
+  // and internal sendmmsg boundaries.
+  auto rx = net::UdpSocket::bind(kLoopback);
+  auto tx = net::UdpSocket::bind(kLoopback);
+  ASSERT_TRUE(rx.ok() && tx.ok());
+  fault::FaultStream stream(spec, "equiv");
+  net::ImpairedUdpSocket sock(std::move(*tx), &stream);
+  Endpoint dst = *rx->local_endpoint();
+  std::vector<SendOutcome> out;
   for (size_t base = 0; base < kPackets; base += 7) {
     std::vector<net::UdpSocket::OutDatagram> dgs;
     for (size_t i = base; i < std::min(base + 7, kPackets); ++i)
-      dgs.push_back({dst2, payloads[i]});
-    ASSERT_TRUE(batched.send_batch(dgs, wire).ok());
-    ASSERT_EQ(wire.size(), dgs.size());
-    for (uint8_t w : wire) EXPECT_EQ(w, 1u);
+      dgs.push_back({dst, payloads[i]});
+    sock.send_batch(dgs, out);
+    ASSERT_EQ(out.size(), dgs.size());
+    for (SendOutcome o : out) EXPECT_EQ(o, SendOutcome::Left);
   }
 
-  EXPECT_EQ(scalar_stream.counters(), batched_stream.counters());
+  fault::FaultStream ref(spec, "equiv");
+  auto expected = reference_delivery(ref, payloads);
+  EXPECT_EQ(stream.counters(), ref.counters());
+  EXPECT_GT(ref.counters().dropped, 0u);
+  EXPECT_GT(ref.counters().duplicated, 0u);
+  EXPECT_GT(ref.counters().corrupted, 0u);
 
-  // Same verdicts in the same order ⇒ the delivered byte streams agree
-  // too (corruption draws included).
-  auto got1 = drain_udp(*rx1);
-  auto got2 = drain_udp(*rx2);
-  std::sort(got1.begin(), got1.end());
-  std::sort(got2.begin(), got2.end());
-  EXPECT_EQ(got1, got2);
-  uint64_t expected = kPackets - scalar_stream.counters().lost() +
-                      scalar_stream.counters().duplicated;
-  EXPECT_EQ(got1.size(), expected);
+  // Same verdicts in the same order ⇒ the same delivered byte multiset,
+  // corruption draws included.
+  auto got = drain_udp(*rx);
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, expected);
+}
+
+TEST(ImpairedBatchT, HardErrorMidBatchFailsOnlyThatDatagram) {
+  constexpr size_t kPackets = 24;
+  fault::FaultSpec spec = lossy_spec();
+
+  // Oversize (EMSGSIZE) the first datagram past index 4 that the link
+  // delivers, so the kernel refuses it mid-batch.
+  size_t refused = kPackets;
+  {
+    fault::FaultStream probe(spec, "midbatch");
+    for (size_t i = 0; i < kPackets; ++i)
+      if (!probe.next(0).is_drop() && i > 4 && refused == kPackets) refused = i;
+  }
+  ASSERT_LT(refused, kPackets);
+  std::vector<std::vector<uint8_t>> payloads;
+  for (size_t i = 0; i < kPackets; ++i)
+    payloads.push_back(make_payload(i, i == refused ? 65600 : 24));
+
+  auto rx = net::UdpSocket::bind(kLoopback);
+  auto tx = net::UdpSocket::bind(kLoopback);
+  ASSERT_TRUE(rx.ok() && tx.ok());
+  fault::FaultStream stream(spec, "midbatch");
+  net::ImpairedUdpSocket sock(std::move(*tx), &stream);
+  Endpoint dst = *rx->local_endpoint();
+  std::vector<net::UdpSocket::OutDatagram> dgs;
+  for (const auto& p : payloads) dgs.push_back({dst, p});
+  std::vector<SendOutcome> out;
+  sock.send_batch(dgs, out);
+
+  // Only the refused datagram errors. Link drops before and after it were
+  // applied, so they left; the datagrams after it still reach the wire.
+  ASSERT_EQ(out.size(), kPackets);
+  for (size_t i = 0; i < kPackets; ++i)
+    EXPECT_EQ(out[i], i == refused ? SendOutcome::Error : SendOutcome::Left)
+        << "datagram " << i;
+
+  fault::FaultStream ref(spec, "midbatch");
+  auto expected = reference_delivery(ref, payloads, refused);
+  EXPECT_EQ(stream.counters(), ref.counters());
+  EXPECT_GT(ref.counters().dropped, 0u);
+  auto got = drain_udp(*rx);
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, expected);
 }
 
 // ---------------------------------------------------------------------------
-// Replay-engine equivalence: a fixed-seed impaired replay must report the
-// same impairment counters and send accounting whether the querier sends
-// scalar or batched.
+// Replay-engine counters: a fixed-seed impaired replay must report exactly
+// what the closed-form fault reference derives from the per-source draws.
 // ---------------------------------------------------------------------------
 
 server::AuthServer wildcard_server() {
@@ -293,25 +347,27 @@ ns1 IN A 192.0.2.1
   return s;
 }
 
-replay::EngineReport run_replay(bool batched_io,
-                                const std::optional<fault::FaultSpec>& fault) {
-  auto bg = server::BackgroundServer::start(wildcard_server());
-  EXPECT_TRUE(bg.ok());
-
+std::vector<trace::TraceRecord> equiv_trace() {
   synth::FixedTraceSpec spec;
   spec.interarrival_ns = kMilli;
   spec.duration_ns = 200 * kMilli;  // 200 queries
   spec.client_count = 8;
-  auto trace = synth::make_fixed_trace(spec);
+  return synth::make_fixed_trace(spec);
+}
+
+replay::EngineReport run_replay(const std::vector<trace::TraceRecord>& trace,
+                                const std::optional<fault::FaultSpec>& fault,
+                                uint32_t max_retries = 1) {
+  auto bg = server::BackgroundServer::start(wildcard_server());
+  EXPECT_TRUE(bg.ok());
 
   replay::EngineConfig cfg;
   cfg.server = (*bg)->endpoint();
   cfg.timed = false;
-  cfg.batched_io = batched_io;
   cfg.fault = fault;
   cfg.query_timeout = 100 * kMilli;
   cfg.retry_backoff_cap = 200 * kMilli;
-  cfg.max_retries = 1;
+  cfg.max_retries = max_retries;
   cfg.drain_grace = 500 * kMilli;
   replay::QueryEngine engine(cfg);
   auto report = engine.replay(trace);
@@ -321,34 +377,49 @@ replay::EngineReport run_replay(bool batched_io,
 }
 
 TEST(EngineEquivT, BatchedCleanRunAnswersEverything) {
-  auto report = run_replay(/*batched_io=*/true, std::nullopt);
+  auto report = run_replay(equiv_trace(), std::nullopt);
   EXPECT_EQ(report.responses_received, report.queries_sent);
   EXPECT_EQ(report.send_errors, 0u);
   EXPECT_EQ(report.lifecycle.expired, 0u);
 }
 
-TEST(EngineEquivT, ScalarKnobStillWorks) {
-  auto report = run_replay(/*batched_io=*/false, std::nullopt);
-  EXPECT_EQ(report.responses_received, report.queries_sent);
-  EXPECT_EQ(report.send_errors, 0u);
-}
-
 TEST(EngineEquivT, FixedSeedFaultCountersMatchScalarPath) {
+  // Loss and dup only: every expected counter follows from the draws.
   fault::FaultSpec spec;
   spec.drop = 0.25;
   spec.dup = 0.1;
-  spec.corrupt = 0.1;
   spec.seed = 7;
+  auto trace = equiv_trace();
 
-  auto scalar = run_replay(/*batched_io=*/false, spec);
-  auto batched = run_replay(/*batched_io=*/true, spec);
-
-  // The acceptance bar: per-source draw schedules are identical, so the
-  // whole counter table agrees exactly.
+  auto report = run_replay(trace, spec, /*max_retries=*/1);
+  replay::EngineReport expected = reference_counters(spec, trace, 1);
   replay::expect_same_counters(
-      scalar, batched, {replay::kQueuePeakTiming, replay::kInFlightPeakTiming});
-  EXPECT_EQ(scalar.sends.size(), batched.sends.size());
-  EXPECT_GT(batched.impairments.dropped, 0u);  // the scenario actually bit
+      expected, report, {replay::kQueuePeakTiming, replay::kInFlightPeakTiming});
+  EXPECT_GT(expected.lifecycle.retries, 0u);  // the scenario actually bit
+  EXPECT_GT(expected.lifecycle.expired, 0u);
+  EXPECT_GT(expected.lifecycle.unmatched_responses, 0u);
+}
+
+// One datagram the kernel refuses (EMSGSIZE) in the middle of a source's
+// burst fails only its own query: the rest are sent, not deferred behind it.
+TEST(EngineEquivT, MidBatchSendErrorFailsOnlyThatQuery) {
+  synth::FixedTraceSpec spec;
+  spec.interarrival_ns = kMilli;
+  spec.duration_ns = 10 * kMilli;  // 10 queries
+  spec.client_count = 1;
+  auto trace = synth::make_fixed_trace(spec);
+  ASSERT_EQ(trace.size(), 10u);
+  trace[1].dns_payload.resize(65600);  // keeps its header; too big for UDP
+
+  for (uint32_t max_retries : {0u, 2u}) {
+    SCOPED_TRACE(max_retries);
+    auto report = run_replay(trace, std::nullopt, max_retries);
+    EXPECT_EQ(report.responses_received, 9u);
+    EXPECT_EQ(report.send_errors, 1u);
+    EXPECT_EQ(report.lifecycle.deferred_sends, 0u);
+    EXPECT_EQ(report.lifecycle.expired, 0u);
+    EXPECT_EQ(report.lifecycle.retries, 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------

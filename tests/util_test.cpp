@@ -152,6 +152,24 @@ TEST(Strings, ParseU64) {
   EXPECT_FALSE(parse_u64("99999999999999999999999").ok());
 }
 
+TEST(Strings, ParseU64InRange) {
+  EXPECT_EQ(*parse_u64_in("64", 1, 64), 64u);
+  EXPECT_EQ(*parse_u64_in("0", 0, 65535), 0u);
+  // Not plain digits: sign, space, junk, empty.
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "0x10", "banana"}) {
+    auto v = parse_u64_in(bad, 0, 65535);
+    ASSERT_FALSE(v.ok()) << bad;
+    EXPECT_NE(v.error().message.find("plain integer"), std::string::npos) << bad;
+  }
+  // Digits out of range, overflow included: never wrapped into range.
+  for (const char* bad : {"0", "65", "99999999999999999999999"}) {
+    auto v = parse_u64_in(bad, 1, 64);
+    ASSERT_FALSE(v.ok()) << bad;
+    EXPECT_NE(v.error().message.find("between 1 and 64"), std::string::npos) << bad;
+  }
+  EXPECT_FALSE(parse_u64_in("70000", 0, 65535).ok());
+}
+
 TEST(Strings, SecondsNsRoundTrip) {
   EXPECT_EQ(*parse_seconds_ns("1.5"), 1500000000);
   EXPECT_EQ(*parse_seconds_ns("0.000001"), 1000);

@@ -2,17 +2,20 @@
 //
 //   ldp-replay [options] <trace.pcap|trace.txt|trace.ldpb> <server-ip> <port>
 //
+// Integer values are strict: plain digits in range (<port> 1-65535);
+// anything else exits 2 with a "bad ..." line.
+//
 //   --fast                 ignore trace timing, replay as fast as possible
-//   --distributors N       distribution fan-out (default 1)
-//   --queriers N           queriers per distributor (default 2)
+//   --distributors N       distribution fan-out (default 1, at most 1024)
+//   --queriers N           queriers per distributor (default 2, at most 1024)
 //   --shards N             run N source-partitioned worker pools on a
 //                          shared replay clock (multi-core replay; 1-64)
-//   --workers N            distributed mode: fork N ldp-worker processes,
+//   --workers N            distributed mode: fork N ldp-worker processes (1-64),
 //                          barrier-synchronize their start, supervise and
 //                          respawn crashed workers from their checkpoints
 //   --worker-bin PATH      ldp-worker executable (default: next to ldp-replay)
 //   --respawn N            respawns per worker before the controller takes
-//                          the slice over in-process (default 2)
+//                          the slice over in-process (default 2, at most 100)
 //   --kill-worker I        test knob: SIGKILL worker I once mid-replay
 //   --kill-after S         seconds past the barrier start for --kill-worker
 //   --transport udp|tcp|tls  override every query's transport (§5.2 what-if)
@@ -25,8 +28,6 @@
 //   --checkpoint-interval S  seconds between snapshots (default 1)
 //   --resume               continue from the --checkpoint file instead of
 //                          starting over (counters carry across the kill)
-//   --scalar-io            one syscall per UDP datagram instead of the
-//                          batched sendmmsg/recvmmsg hot path (A/B runs)
 //   --overload block|drop-oldest|clamp  full-queue policy (default block)
 //   --shed-grace MS        how long a push waits before shedding (default 5)
 //   --no-supervise         disable the heartbeat supervisor
@@ -38,6 +39,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 #include "mutate/mutator.hpp"
@@ -46,6 +48,7 @@
 #include "replay/engine.hpp"
 #include "trace/load.hpp"
 #include "util/stats.hpp"
+#include "util/strings.hpp"
 
 using namespace ldp;
 
@@ -68,7 +71,7 @@ void usage(const char* argv0) {
                "          [--workers N [--worker-bin PATH] [--respawn N]\n"
                "           [--kill-worker I] [--kill-after S]]\n"
                "          [--transport udp|tcp|tls] [--dnssec] [--prefix LABEL]\n"
-               "          [--scale F] [--fault SPEC] [--scalar-io]\n"
+               "          [--scale F] [--fault SPEC]\n"
                "          [--checkpoint FILE [--checkpoint-interval S] [--resume]]\n"
                "          [--overload block|drop-oldest|clamp] [--shed-grace MS]\n"
                "          [--no-supervise] [--heartbeat-timeout S]\n"
@@ -97,53 +100,29 @@ int main(int argc, char** argv) {
       }
       return argv[++arg];
     };
+    // Strict integer value for `opt` in [lo, hi]; a bad one exits 2.
+    auto need_int = [&](uint64_t lo, uint64_t hi) {
+      auto v = parse_u64_in(need_value(), lo, hi);
+      if (!v.ok()) {
+        std::fprintf(stderr, "bad %s: %s\n", opt.c_str(), v.error().message.c_str());
+        std::exit(2);
+      }
+      return *v;
+    };
     if (opt == "--fast") {
       cfg.timed = false;
     } else if (opt == "--distributors") {
-      cfg.distributors = std::strtoul(need_value(), nullptr, 10);
+      cfg.distributors = need_int(1, 1024);
     } else if (opt == "--queriers") {
-      cfg.queriers_per_distributor = std::strtoul(need_value(), nullptr, 10);
+      cfg.queriers_per_distributor = need_int(1, 1024);
     } else if (opt == "--shards") {
-      // Strict, same spelling as ldp-server: plain digits, 1..64.
-      std::string v = need_value();
-      if (v.empty() || v.find_first_not_of("0123456789") != std::string::npos) {
-        std::fprintf(stderr, "--shards wants a plain integer, got '%s'\n",
-                     v.c_str());
-        return 2;
-      }
-      unsigned long n = std::strtoul(v.c_str(), nullptr, 10);
-      if (n < 1 || n > 64) {
-        std::fprintf(stderr, "--shards must be between 1 and 64, got %s\n",
-                     v.c_str());
-        return 2;
-      }
-      cfg.shards = n;
+      cfg.shards = need_int(1, 64);
     } else if (opt == "--workers") {
-      // Same strict spelling as --shards: plain digits, 1..64.
-      std::string v = need_value();
-      if (v.empty() || v.find_first_not_of("0123456789") != std::string::npos) {
-        std::fprintf(stderr, "--workers wants a plain integer, got '%s'\n",
-                     v.c_str());
-        return 2;
-      }
-      unsigned long n = std::strtoul(v.c_str(), nullptr, 10);
-      if (n < 1 || n > 64) {
-        std::fprintf(stderr, "--workers must be between 1 and 64, got %s\n",
-                     v.c_str());
-        return 2;
-      }
-      workers = n;
+      workers = need_int(1, 64);
     } else if (opt == "--worker-bin") {
       dist.worker_bin = need_value();
     } else if (opt == "--respawn") {
-      std::string v = need_value();
-      if (v.empty() || v.find_first_not_of("0123456789") != std::string::npos) {
-        std::fprintf(stderr, "--respawn wants a plain integer, got '%s'\n",
-                     v.c_str());
-        return 2;
-      }
-      dist.respawn_budget = static_cast<uint32_t>(
-          std::strtoul(v.c_str(), nullptr, 10));
+      dist.respawn_budget = static_cast<uint32_t>(need_int(0, 100));
     } else if (opt == "--kill-worker") {
       dist.kill_worker = std::strtol(need_value(), nullptr, 10);
     } else if (opt == "--kill-after") {
@@ -174,8 +153,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       cfg.fault = *spec;
-    } else if (opt == "--scalar-io") {
-      cfg.batched_io = false;
     } else if (opt == "--checkpoint") {
       cfg.checkpoint_path = need_value();
     } else if (opt == "--checkpoint-interval") {
@@ -213,18 +190,22 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  auto records = trace::load_trace_file(argv[arg]);
-  if (!records.ok()) {
-    std::fprintf(stderr, "trace load failed: %s\n", records.error().message.c_str());
-    return 1;
-  }
   auto server_ip = IpAddr::parse(argv[arg + 1]);
   if (!server_ip.ok()) {
     std::fprintf(stderr, "%s\n", server_ip.error().message.c_str());
     return 2;
   }
-  cfg.server = Endpoint{*server_ip, static_cast<uint16_t>(
-                                        std::strtoul(argv[arg + 2], nullptr, 10))};
+  auto port = parse_u64_in(argv[arg + 2], 1, 65535);
+  if (!port.ok()) {
+    std::fprintf(stderr, "bad port: %s\n", port.error().message.c_str());
+    return 2;
+  }
+  cfg.server = Endpoint{*server_ip, static_cast<uint16_t>(*port)};
+  auto records = trace::load_trace_file(argv[arg]);
+  if (!records.ok()) {
+    std::fprintf(stderr, "trace load failed: %s\n", records.error().message.c_str());
+    return 1;
+  }
 
   if (workers > 0 && (has_mutations || cfg.shards > 1 ||
                       !cfg.checkpoint_path.empty() || resume)) {
@@ -307,7 +288,6 @@ int main(int argc, char** argv) {
     dist.trace_path = argv[arg];
     dist.server = cfg.server;
     dist.timed = cfg.timed;
-    dist.batched_io = cfg.batched_io;
     dist.distributors = cfg.distributors;
     dist.queriers_per_distributor = cfg.queriers_per_distributor;
     dist.fault_spec = fault_spec_raw;

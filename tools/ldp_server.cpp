@@ -4,16 +4,18 @@
 //
 //   ldp-server [--port N] [--timeout SECONDS] [--views views.conf]
 //              [--fault SPEC] [--limits SPEC] [--overload SPEC]
-//              [--scalar-io] [--cache N] [--shards N] <zone>...
+//              [--cache N] [--shards N] <zone>...
 //
-// --scalar-io disables the batched UDP path (one syscall per datagram) and
-// --cache N sizes the response template cache (0 disables it); both exist
-// for before/after measurement against the defaults.
+// Integer options are strict: plain digits in range (--port 0..65535, 0 =
+// ephemeral; --timeout 1..86400; --cache 0..1048576; --shards 1..64).
+//
+// --cache N sizes the response template cache (0 disables it), for
+// before/after measurement against the default.
 //
 // --shards N serves from N SO_REUSEPORT frontends, one event loop thread
 // each (multi-core serving; connection/cache/impairment books are
-// shard-local and merged into the exit summary). N must be 1..64; 1 is
-// the classic single-loop path.
+// shard-local and merged into the exit summary, which then also lists
+// each shard). The default of 1 is one frontend on one loop thread.
 //
 // --fault impairs the reply path (egress), e.g. loss:0.05,seed:42 — see
 // ldp::fault for the full spec mini-language.
@@ -30,6 +32,7 @@
 // in a trace (§2.4).
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -43,24 +46,10 @@ using namespace ldp;
 
 namespace {
 
-net::EventLoop* g_loop = nullptr;
-server::ShardedServer* g_sharded = nullptr;
+server::ShardedServer* g_server = nullptr;
 
 void handle_signal(int) {
-  if (g_loop != nullptr) g_loop->stop();
-  if (g_sharded != nullptr) g_sharded->request_stop();
-}
-
-// Strict --shards parser, shared spelling with ldp-replay: every character
-// a digit, value in [1, 64]. Anything else is a usage error (exit 2).
-Result<size_t> parse_shards(const char* text) {
-  std::string s = text;
-  if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos)
-    return Err("--shards wants a plain integer, got '" + s + "'");
-  unsigned long v = std::strtoul(s.c_str(), nullptr, 10);
-  if (v < 1 || v > 64)
-    return Err("--shards must be between 1 and 64, got " + s);
-  return static_cast<size_t>(v);
+  if (g_server != nullptr) g_server->request_stop();
 }
 
 Result<zone::Zone> load_zone_file(const std::string& path) {
@@ -81,16 +70,24 @@ int main(int argc, char** argv) {
   std::optional<fault::FaultSpec> fault_spec;
   server::LimitsConfig limits;
   server::OverloadConfig overload;
-  bool scalar_io = false;
   std::optional<size_t> cache_entries;
   size_t shards = 1;
 
   for (int i = 1; i < argc; ++i) {
     std::string opt = argv[i];
+    // Strict integer value for `opt` in [lo, hi]; a bad one exits 2.
+    auto int_value = [&](uint64_t lo, uint64_t hi) {
+      auto v = parse_u64_in(argv[++i], lo, hi);
+      if (!v.ok()) {
+        std::fprintf(stderr, "bad %s: %s\n", opt.c_str(), v.error().message.c_str());
+        std::exit(2);
+      }
+      return *v;
+    };
     if (opt == "--port" && i + 1 < argc) {
-      port = static_cast<uint16_t>(std::strtoul(argv[++i], nullptr, 10));
+      port = static_cast<uint16_t>(int_value(0, 65535));
     } else if (opt == "--timeout" && i + 1 < argc) {
-      timeout = static_cast<TimeNs>(std::strtoul(argv[++i], nullptr, 10)) * kSecond;
+      timeout = static_cast<TimeNs>(int_value(1, 86400)) * kSecond;
     } else if (opt == "--views" && i + 1 < argc) {
       views_path = argv[++i];
     } else if (opt == "--fault" && i + 1 < argc) {
@@ -114,22 +111,15 @@ int main(int argc, char** argv) {
         return 2;
       }
       overload = *spec;
-    } else if (opt == "--scalar-io") {
-      scalar_io = true;
     } else if (opt == "--cache" && i + 1 < argc) {
-      cache_entries = std::strtoul(argv[++i], nullptr, 10);
+      cache_entries = int_value(0, 1u << 20);
     } else if (opt == "--shards" && i + 1 < argc) {
-      auto n = parse_shards(argv[++i]);
-      if (!n.ok()) {
-        std::fprintf(stderr, "bad --shards: %s\n", n.error().message.c_str());
-        return 2;
-      }
-      shards = *n;
+      shards = int_value(1, 64);
     } else if (opt.rfind("--", 0) == 0) {
       std::fprintf(stderr,
                    "usage: %s [--port N] [--timeout SECONDS] [--views views.conf]"
                    " [--fault SPEC] [--limits SPEC] [--overload SPEC]"
-                   " [--scalar-io] [--cache N] [--shards N] <zone-file>...\n",
+                   " [--cache N] [--shards N] <zone-file>...\n",
                    argv[0]);
       return 2;
     } else {
@@ -204,12 +194,10 @@ int main(int argc, char** argv) {
   fe_cfg.fault = fault_spec;
   fe_cfg.limits = limits;
   fe_cfg.overload = overload;
-  fe_cfg.batched_udp = !scalar_io;
-  if (cache_entries.has_value()) fe_cfg.response_cache_entries = *cache_entries;
-  if (scalar_io || fe_cfg.response_cache_entries == 0)
-    std::fprintf(stderr, "hot path: %s, template cache %zu entries\n",
-                 fe_cfg.batched_udp ? "batched" : "scalar",
-                 fe_cfg.response_cache_entries);
+  if (cache_entries.has_value()) {
+    fe_cfg.response_cache_entries = *cache_entries;
+    std::fprintf(stderr, "template cache: %zu entries\n", *cache_entries);
+  }
   if (fault_spec.has_value())
     std::fprintf(stderr, "reply-path impairment: %s\n",
                  fault_spec->to_string().c_str());
@@ -218,66 +206,41 @@ int main(int argc, char** argv) {
   if (overload.enabled())
     std::fprintf(stderr, "overload: %s\n", overload.to_string().c_str());
 
-  if (shards > 1) {
-    // Multi-core path: one SO_REUSEPORT frontend + event loop per shard.
-    // Shard books are merged after the joins; both views are printed.
+  if (shards > 1)
     std::fprintf(stderr, "shards: %zu (SO_REUSEPORT, one event loop per shard)\n",
                  shards);
-    auto sharded = server::ShardedServer::start(std::move(auth), fe_cfg, shards);
-    if (!sharded.ok()) {
-      std::fprintf(stderr, "cannot start server: %s\n",
-                   sharded.error().message.c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "serving on %s (UDP+TCP, %llds idle timeout); ^C to stop\n",
-                 (*sharded)->endpoint().to_string().c_str(),
-                 static_cast<long long>(timeout / kSecond));
-    g_sharded = sharded->get();
-    std::signal(SIGINT, handle_signal);
-    std::signal(SIGTERM, handle_signal);
-    (*sharded)->wait();
-    const server::ShardedExitReport& report = (*sharded)->stop();
-    const auto& stats = (*sharded)->auth().stats();
-    std::fprintf(stderr, "served %llu queries (%llu refused, %llu nxdomain)\n",
-                 static_cast<unsigned long long>(stats.queries.load()),
-                 static_cast<unsigned long long>(stats.refused.load()),
-                 static_cast<unsigned long long>(stats.nxdomain.load()));
-    for (size_t s = 0; s < report.per_shard.size(); ++s)
-      std::fprintf(stderr, "shard %zu connections: %s\n", s,
-                   report.per_shard[s].connections.summary().c_str());
-    std::fprintf(stderr, "connections (merged): %s\n",
-                 report.connections.summary().c_str());
-    if (fault_spec.has_value())
-      std::fprintf(stderr, "impairments (merged): %s\n",
-                   report.impairments.summary().c_str());
-    return 0;
-  }
-
-  net::EventLoop loop;
-  auto frontend = server::ServerFrontend::start(loop, auth, fe_cfg);
-  if (!frontend.ok()) {
+  auto started = server::ShardedServer::start(std::move(auth), fe_cfg, shards);
+  if (!started.ok()) {
     std::fprintf(stderr, "cannot start server: %s\n",
-                 frontend.error().message.c_str());
+                 started.error().message.c_str());
     return 1;
   }
+  server::ShardedServer& srv = **started;
   std::fprintf(stderr, "serving on %s (UDP+TCP, %llds idle timeout); ^C to stop\n",
-               (*frontend)->endpoint().to_string().c_str(),
+               srv.endpoint().to_string().c_str(),
                static_cast<long long>(timeout / kSecond));
-
-  g_loop = &loop;
+  g_server = &srv;
   std::signal(SIGINT, handle_signal);
   std::signal(SIGTERM, handle_signal);
-  loop.run();
+  srv.wait();
 
-  const auto& stats = auth.stats();
+  const server::ShardedExitReport& report = srv.stop();
+  const auto& stats = srv.auth().stats();
   std::fprintf(stderr, "served %llu queries (%llu refused, %llu nxdomain)\n",
                static_cast<unsigned long long>(stats.queries.load()),
                static_cast<unsigned long long>(stats.refused.load()),
                static_cast<unsigned long long>(stats.nxdomain.load()));
-  std::fprintf(stderr, "connections: %s\n",
-               (*frontend)->connections().summary().c_str());
+  // One shard's books are the merged books; several get one line each too.
+  const char* merged = shards > 1 ? " (merged)" : "";
+  if (shards > 1) {
+    for (size_t s = 0; s < report.per_shard.size(); ++s)
+      std::fprintf(stderr, "shard %zu connections: %s\n", s,
+                   report.per_shard[s].connections.summary().c_str());
+  }
+  std::fprintf(stderr, "connections%s: %s\n", merged,
+               report.connections.summary().c_str());
   if (fault_spec.has_value())
-    std::fprintf(stderr, "impairments: %s\n",
-                 (*frontend)->impairments().summary().c_str());
+    std::fprintf(stderr, "impairments%s: %s\n", merged,
+                 report.impairments.summary().c_str());
   return 0;
 }

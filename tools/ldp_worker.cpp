@@ -14,6 +14,7 @@
 #include <string>
 
 #include "replay/dist/worker.hpp"
+#include "util/strings.hpp"
 
 using namespace ldp;
 
@@ -47,7 +48,12 @@ int main(int argc, char** argv) {
     };
     if (opt == "--connect") {
       ip = need_value();
-      port = static_cast<uint16_t>(std::strtoul(need_value(), nullptr, 10));
+      auto p = parse_u64_in(need_value(), 1, 65535);
+      if (!p.ok()) {
+        std::fprintf(stderr, "bad --connect port: %s\n", p.error().message.c_str());
+        return 2;
+      }
+      port = static_cast<uint16_t>(*p);
       have_connect = true;
     } else if (opt == "--index") {
       opts.index = std::strtol(need_value(), nullptr, 10);
