@@ -1,10 +1,7 @@
 #include "fault/fault.hpp"
 
 #include <cctype>
-#include <cerrno>
 #include <charconv>
-#include <cmath>
-#include <cstdlib>
 #include <sstream>
 
 #include "util/strings.hpp"
@@ -35,23 +32,6 @@ std::string duration_to_string(TimeNs ns) {
   if (ns % kMilli == 0) return std::to_string(ns / kMilli) + "ms";
   if (ns % kMicro == 0) return std::to_string(ns / kMicro) + "us";
   return std::to_string(ns) + "ns";
-}
-
-// Strict decimal parse: the whole of `text` must be one finite non-negative
-// number — trailing garbage ("0.5x"), a second dot ("1.2.3"), a sign, or an
-// empty string are all rejected so a typo'd knob fails loudly instead of
-// silently replaying with a half-parsed value.
-Result<double> parse_number(std::string_view text) {
-  std::string buf(text);
-  if (buf.empty() || !std::isdigit(static_cast<unsigned char>(buf[0])))
-    return Err("bad number '" + buf + "'");
-  char* end = nullptr;
-  errno = 0;
-  double value = std::strtod(buf.c_str(), &end);
-  if (end != buf.c_str() + buf.size() || errno == ERANGE ||
-      !std::isfinite(value) || value < 0)
-    return Err("bad number '" + buf + "'");
-  return value;
 }
 
 }  // namespace
@@ -143,11 +123,6 @@ std::string FaultSpec::to_string() const {
     out << "flap:" << duration_to_string(flap_period) << "/"
         << duration_to_string(flap_down);
   }
-  if (stall_querier >= 0) {
-    sep();
-    out << "querier_stall:" << stall_querier << "@"
-        << duration_to_string(stall_after);
-  }
   if (slow_client > 0) {
     sep();
     out << "slow_client:" << prob_to_string(slow_client) << ",drip:"
@@ -199,21 +174,6 @@ Result<FaultSpec> parse_fault_spec(std::string_view text) {
       if (spec.flap_period <= 0 || spec.flap_down <= 0 ||
           spec.flap_down >= spec.flap_period)
         return Err("flap needs 0 < down < period, got '" + std::string(value) + "'");
-    } else if (key == "querier_stall") {
-      // "<id>@<delay>"; the delay is optional (defaults to stall-at-start).
-      std::string_view id_part = value;
-      size_t at = value.find('@');
-      if (at != std::string_view::npos) {
-        id_part = value.substr(0, at);
-        spec.stall_after = LDP_TRY(parse_duration(value.substr(at + 1)));
-      }
-      int64_t id = -1;
-      auto [p, ec] =
-          std::from_chars(id_part.data(), id_part.data() + id_part.size(), id);
-      if (ec != std::errc{} || p != id_part.data() + id_part.size() || id < 0)
-        return Err("querier_stall wants <querier-id>[@<delay>], got '" +
-                   std::string(value) + "'");
-      spec.stall_querier = id;
     } else if (key == "slow_client") {
       spec.slow_client = LDP_TRY(parse_probability(key, value));
     } else if (key == "drip") {

@@ -14,9 +14,9 @@
 // functions of time. Payload corruption draws from a separate engine so
 // variable-length corruption never perturbs the decision sequence.
 //
-// Three consumers share these scenario definitions (DESIGN.md insertion
-// diagram): the net/ socket shim (real-socket replay + server frontend),
-// the proxy pipeline, and the simnet discrete-event hook.
+// Two consumers share these scenario definitions (DESIGN.md insertion
+// diagram): the net/ socket shim (real-socket replay + server frontend)
+// and the simnet discrete-event hook.
 #pragma once
 
 #include <cstdint>
@@ -97,22 +97,14 @@ struct FaultSpec {
   TimeNs flap_down = 0;
   uint64_t seed = 1;
   size_t corrupt_max_bytes = 4;  ///< bytes flipped per corrupted packet (>=1)
-  /// Process-failure injection ("querier_stall:<id>@<delay>"): the querier
-  /// with this engine-global id wedges (stops heartbeating and processing)
-  /// `stall_after` into its run, exercising the supervision/recovery layer.
-  /// Not a link impairment: enabled() ignores it, and no PRNG draws are
-  /// consumed — the stall is a pure function of (id, time). -1 = disabled.
-  int64_t stall_querier = -1;
-  TimeNs stall_after = 0;
   /// Slowloris injection ("slow_client:<prob>[,drip:<interval>]"): each TCP
   /// connection is independently a "slow client" with this probability — it
   /// dribbles one byte of a framed query every `slow_drip` instead of
   /// completing messages, pinning a server connection slot until the
   /// server's slow-client defenses (read deadline / partial-buffer cap)
-  /// close it. Like querier_stall this is a behaviour knob, not a link
-  /// impairment: enabled() ignores it, no stream draws are consumed, and
-  /// the decision for connection k is a pure function of (seed, k) — see
-  /// is_slow_client().
+  /// close it. This is a behaviour knob, not a link impairment: enabled()
+  /// ignores it, no stream draws are consumed, and the decision for
+  /// connection k is a pure function of (seed, k) — see is_slow_client().
   double slow_client = 0;
   TimeNs slow_drip = 100 * kMilli;
 
@@ -155,15 +147,15 @@ struct Verdict {
   Action action = Action::Deliver;
   DropReason reason = DropReason::None;
   /// Extra one-way latency (reorder hold-back + delay + jitter). Meaningful
-  /// for non-Drop actions; consumers without a clock (the proxy pipeline)
-  /// may deliver immediately — the decision sequence is unaffected.
+  /// for non-Drop actions; a consumer without a clock may deliver
+  /// immediately — the decision sequence is unaffected.
   TimeNs extra_delay = 0;
 
   bool is_drop() const { return action == Action::Drop; }
 };
 
 /// One named decision stream over a FaultSpec. Not thread-safe: each
-/// consumer (socket, connection, pipeline reader) owns its stream.
+/// consumer (socket, connection) owns its stream.
 class FaultStream {
  public:
   FaultStream(const FaultSpec& spec, std::string_view name);

@@ -1,6 +1,6 @@
 // Impairment shims at the socket layer: the insertion point that lets the
-// real-socket replay engine, server frontend, and proxy pipeline run under
-// an ldp::fault scenario without changing their protocol logic. Impairment
+// real-socket replay engine and the server frontend run under an
+// ldp::fault scenario without changing their protocol logic. Impairment
 // is applied on *egress* — the side this process controls — which is
 // equivalent, from the sender's lifecycle viewpoint, to the link eating the
 // packet in either direction (both surface as a missing response).

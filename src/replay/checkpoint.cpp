@@ -12,7 +12,7 @@ namespace ldp::replay {
 
 namespace {
 
-constexpr std::string_view kMagic = "ldp-checkpoint v2";
+constexpr std::string_view kMagic = "ldp-checkpoint v3";
 
 // FNV-1a, the same construction stream_seed uses; good enough to tell two
 // traces apart, cheap enough to run on every resume.

@@ -14,7 +14,7 @@
 // the window faults (blackhole, flap) re-anchor via origin offsets stored
 // relative to the replay clock origin.
 //
-// Files are plain line-oriented text ("ldp-checkpoint v2", the trace
+// Files are plain line-oriented text ("ldp-checkpoint v3", the trace
 // fingerprint, the counter block declared below, then sent / stream /
 // pending records), written atomically (tmp + rename) so a kill
 // mid-write leaves the previous snapshot intact.

@@ -553,6 +553,9 @@ Result<DistReport> run_distributed(const DistConfig& cfg) {
   if (cfg.worker_bin.empty()) return Err("worker binary path is empty");
   if (cfg.kill_worker >= static_cast<int64_t>(cfg.workers))
     return Err("kill_worker index out of range");
+  // Every worker checkpoints; its engine would refuse a zero interval.
+  if (cfg.checkpoint_interval <= 0)
+    return Err("checkpoint interval must be positive");
   if (::access(cfg.worker_bin.c_str(), X_OK) != 0)
     return Err("worker binary not executable: " + cfg.worker_bin);
 

@@ -1,7 +1,8 @@
 // The distributed-replay controller: forks N ldp-worker processes, drives
 // the control protocol (protocol.hpp) over one loopback TCP connection per
-// worker, and supervises them the way PR 4's Supervisor watches querier
-// threads — except the unit of failure is a whole process.
+// worker, and watches them by heartbeat and waitpid. The process is the
+// replay's one failure domain: a crashed or wedged worker is killed, reaped
+// and respawned from its last checkpoint.
 //
 // Lifecycle per worker slot:
 //

@@ -10,7 +10,7 @@ namespace ldp::replay::dist {
 
 namespace {
 
-constexpr std::string_view kReportMagic = "ldp-report v2";
+constexpr std::string_view kReportMagic = "ldp-report v3";
 
 Result<void> check_line(const std::istringstream& ls, const char* what) {
   if (ls.fail()) return Err(std::string("control frame: malformed ") + what);

@@ -22,8 +22,8 @@ namespace {
 constexpr TimeNs kConnectTimeout = 10 * kSecond;
 
 /// Control-channel state shared between the replay (main) thread, the
-/// engine's supervisor thread (checkpoint sink) and the sender thread that
-/// streams HEARTBEAT/PROGRESS/CHECKPOINT frames. One mutex serializes both
+/// engine's checkpoint ticker thread (checkpoint sink) and the sender thread
+/// that streams HEARTBEAT/PROGRESS/CHECKPOINT frames. One mutex serializes both
 /// the snapshot fields and the socket writes — control traffic is a few
 /// small frames per second, nowhere near contention.
 struct ControlChannel {
@@ -41,8 +41,8 @@ struct ControlChannel {
   TimeNs wnow() const { return mono_now_ns() + skew; }
 
   /// Serialized frame send; records (rather than propagates) failure so
-  /// the replay itself keeps running — the supervisor side decides what a
-  /// lost control channel means.
+  /// the replay itself keeps running — the controller decides what a lost
+  /// control channel means.
   void send_locked(FrameType type, const std::string& payload) {
     if (broken) return;
     auto sent_ok = send_frame(fd, type, payload);

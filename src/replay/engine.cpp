@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstring>
 #include <map>
 #include <mutex>
@@ -24,10 +23,6 @@ constexpr TimeNs kStartupLead = 100 * kMilli;  // let worker threads spin up
 // Resend delay for queries that never reached the wire (kernel buffer
 // full): short, so the backlog clears as soon as the kernel drains.
 constexpr TimeNs kDeferredSendDelay = 10 * kMilli;
-// How long a blocking push waits between heartbeats, so a producer stuck
-// behind a stalled consumer still looks alive to the supervisor (and
-// re-checks for queue closure, which is how recovery unblocks it).
-constexpr TimeNs kPushBeatGrace = 100 * kMilli;
 }  // namespace
 
 void EngineReport::merge_from(EngineReport&& other) {
@@ -63,12 +58,31 @@ std::vector<std::vector<TraceRecord>> partition_by_source(
   return slices;
 }
 
+PushResult push_with_policy(BoundedQueue<TraceRecord>& q, TraceRecord& rec,
+                            OverloadPolicy policy, TimeNs shed_grace,
+                            OverloadLedger& ledger) {
+  if (policy == OverloadPolicy::Block) return q.push_for(rec, -1);
+  PushResult pr = q.push_for(rec, shed_grace);
+  if (pr != PushResult::Full) return pr;
+  if (policy == OverloadPolicy::DropOldest) {
+    std::optional<TraceRecord> evicted;
+    pr = q.evict_push(rec, evicted);
+    if (pr == PushResult::Ok && evicted.has_value())
+      ledger.shed.fetch_add(1, std::memory_order_relaxed);
+    return pr;
+  }
+  TimeNs t0 = mono_now_ns();  // ClampRate
+  pr = q.push_for(rec, -1);
+  ledger.clamp_stall_ns.fetch_add(mono_now_ns() - t0, std::memory_order_relaxed);
+  return pr;
+}
+
 namespace {
 
 /// What one querier publishes for the checkpoint gatherer: a per-querier
 /// consistent cut of its counters, in-flight queries, per-source sent
 /// counts and fault-stream draw positions. Published by the querier thread
-/// under a mutex; read by the supervisor thread.
+/// under a mutex; read by the checkpoint ticker thread.
 struct QuerierSnapshot {
   bool valid = false;
   EngineReport partial;  ///< counters + histogram only, sends stay empty
@@ -88,15 +102,10 @@ struct QuerierSnapshot {
 // expiry, so pending state is bounded by the retry window even when the
 // server never answers.
 //
-// Supervision: the thread beats a heartbeat from an event-loop timer. A
-// querier_stall fault injection parks the thread (cooperatively wedged: no
-// beats, no processing); the supervisor then reaps it — harvesting its
-// queue, deferred records and pending tables while the thread is provably
-// quiescent — and releases it. In-flight queries salvaged this way carry a
-// pointer to their original send record (extern_rec), so the sibling that
-// adopts them resolves outcomes in the failed querier's report; the
-// engine joins every querier before merging any report, keeping those
-// cross-report writes race-free.
+// On resume, the checkpoint's in-flight queries arrive through the adopt
+// inbox. Each carries a pointer to its send record in the replay's stable
+// restored-record storage (extern_rec), so its outcome resolves there
+// rather than in this querier's report.
 // ---------------------------------------------------------------------------
 class QueryEngine::Querier {
  public:
@@ -110,9 +119,7 @@ class QueryEngine::Querier {
     if (thread_.joinable()) thread_.join();
   }
 
-  uint32_t id() const { return id_; }
   BoundedQueue<TraceRecord>& queue() { return queue_; }
-  Heartbeat& heartbeat() { return heartbeat_; }
   size_t queue_high_water() const { return queue_.high_water(); }
 
   void wake() {
@@ -126,95 +133,18 @@ class QueryEngine::Querier {
     wake();
   }
 
-  /// Hand over in-flight queries (a failed sibling's, or a checkpoint's).
-  /// Every entry must carry extern_rec. Thread-safe; returns false — with
-  /// `orphans` intact — once the querier stopped accepting (shutting down),
-  /// so the caller can grave-yard them with accounting instead of losing
-  /// them in a never-drained inbox.
-  bool adopt(std::vector<PendingQuery>& orphans) {
+  /// Hand over an in-flight query restored from a checkpoint; it must
+  /// carry extern_rec. Thread-safe; returns false once the querier stopped
+  /// accepting (shutting down), so the caller can account the query
+  /// instead of losing it in a never-drained inbox.
+  bool adopt(PendingQuery pq) {
     {
       std::lock_guard lock(adopt_mu_);
       if (adopt_closed_) return false;
-      for (auto& pq : orphans) adopt_inbox_.push_back(std::move(pq));
+      adopt_inbox_.push_back(std::move(pq));
     }
-    orphans.clear();
     wake();
     return true;
-  }
-
-  /// Hand over trace records a failed sibling never sent. This bypasses the
-  /// input queue (already closed once routing finished) and rides the adopt
-  /// inbox instead, which stays open for as long as the querier is still
-  /// draining — so mid-drain recovery re-dispatches on the original
-  /// schedule rather than shedding. Same contract as adopt(): false leaves
-  /// `records` intact for the caller to account.
-  bool adopt_records(std::vector<TraceRecord>& records) {
-    {
-      std::lock_guard lock(adopt_mu_);
-      if (adopt_closed_) return false;
-      for (auto& rec : records) record_inbox_.push_back(std::move(rec));
-    }
-    records.clear();
-    wake();
-    return true;
-  }
-
-  /// Everything a reaped querier leaves behind: queries on the wire
-  /// (resendable, with extern record pointers) and trace records it never
-  /// got to send (re-dispatchable through the normal path).
-  struct Salvage {
-    std::vector<PendingQuery> pending;
-    std::vector<TraceRecord> unsent;
-  };
-
-  /// Supervisor-thread half of the recovery handshake. Blocks until the
-  /// thread is provably quiescent (parked after a stall, or finished);
-  /// returns false if it finished normally (false alarm — nothing to
-  /// recover). On true, the querier's state has been harvested into `out`
-  /// and the caller must call release() to let the thread exit.
-  bool reap(Salvage& out) {
-    {
-      std::unique_lock lock(life_mu_);
-      life_cv_.wait(lock, [this] { return parked_ || finished_; });
-      if (!parked_) return false;
-    }
-    // The thread is parked: it reads released_ under life_mu_ and touches
-    // nothing else until release(). Safe to harvest from this thread.
-    queue_.close();
-    while (auto rec = queue_.pop_for(0)) out.unsent.push_back(std::move(*rec));
-    {
-      std::lock_guard lock(adopt_mu_);
-      adopt_closed_ = true;
-      for (auto& pq : adopt_inbox_) out.pending.push_back(std::move(pq));
-      adopt_inbox_.clear();
-      for (auto& rec : record_inbox_) out.unsent.push_back(std::move(rec));
-      record_inbox_.clear();
-    }
-    for (auto& [source, us] : udp_socks_) {
-      for (auto& pq : us->pending.drain()) out.pending.push_back(std::move(pq));
-      // Sends staged for a flush that never came are in flight from the
-      // trace's point of view: salvage them like any pending entry.
-      for (auto& st : us->stage) out.pending.push_back(std::move(st.pq));
-      us->stage.clear();
-    }
-    staged_count_ = 0;
-    for (auto& [source, conn] : tcp_conns_)
-      for (auto& pq : conn->pending.drain()) out.pending.push_back(std::move(pq));
-    for (auto& [token, rec] : deferred_records_)
-      out.unsent.push_back(std::move(*rec));
-    deferred_records_.clear();
-    // Point salvaged queries at their records in this report so the
-    // adopter resolves them in place. sends never grows again (the thread
-    // is parked), so the pointers stay stable until after all joins.
-    for (auto& pq : out.pending)
-      if (pq.extern_rec == nullptr) pq.extern_rec = &report_.sends[pq.send_index];
-    return true;
-  }
-
-  void release() {
-    std::lock_guard lock(life_mu_);
-    released_ = true;
-    life_cv_.notify_all();
   }
 
   QuerierSnapshot snapshot() const {
@@ -235,9 +165,9 @@ class QueryEngine::Querier {
 
  private:
   /// Which attempt a send is: a query's first, trace-scheduled send; a
-  /// resend of a query adopted from a failed sibling or a checkpoint; or a
-  /// retransmit after a timeout. The kinds differ in their deadline origin
-  /// and in how a failed send is accounted.
+  /// resend of a query restored from a checkpoint; or a retransmit after a
+  /// timeout. The kinds differ in their deadline origin and in how a failed
+  /// send is accounted.
   enum class SendKind : uint8_t { Fresh, Adopted, Retry };
 
   /// One UDP send waiting for the per-round sendmmsg flush. The pending
@@ -281,8 +211,8 @@ class QueryEngine::Querier {
   };
 
   /// Resolve the send record a pending query belongs to: its own report
-  /// entry, or — for adopted queries — the record in the failed querier's
-  /// report / the resumed checkpoint's stable storage.
+  /// entry, or — for adopted queries — the resumed checkpoint's stable
+  /// storage.
   SendRecord& record_of(PendingQuery& pq) {
     return pq.extern_rec != nullptr ? *pq.extern_rec
                                     : report_.sends[pq.send_index];
@@ -335,47 +265,10 @@ class QueryEngine::Querier {
                             [this](bool, bool) { on_wake(); });
     if (add.ok()) {
       loop_.add_flush_hook([this] { flush_all_udp(); });
-      if (config_.supervise) {
-        arm_heartbeat();
-        if (config_.fault.has_value() &&
-            config_.fault->stall_querier == static_cast<int64_t>(id_)) {
-          loop_.add_timer_after(std::max<TimeNs>(config_.fault->stall_after, 0),
-                                [this] {
-                                  stalled_ = true;
-                                  loop_.stop();
-                                });
-        }
-      }
       if (config_.checkpointing()) arm_snapshot();
       loop_.run();
     }
-    if (stalled_) park();
     finalize_report();
-    {
-      std::lock_guard lock(life_mu_);
-      finished_ = true;
-      life_cv_.notify_all();
-    }
-  }
-
-  /// The cooperative stall: stop beating and processing, wait to be reaped
-  /// and released. Parking only ever happens under supervision (the stall
-  /// trap is gated on it), and the engine keeps the supervisor alive until
-  /// every querier has joined, so the reap→release handshake is guaranteed
-  /// to arrive — this wait cannot hang the shutdown.
-  void park() {
-    std::unique_lock lock(life_mu_);
-    parked_ = true;
-    life_cv_.notify_all();
-    life_cv_.wait(lock, [this] { return released_; });
-  }
-
-  void arm_heartbeat() {
-    heartbeat_.beat();
-    TimeNs period = std::max<TimeNs>(
-        kMilli,
-        std::min(config_.supervision_interval, config_.heartbeat_timeout / 4));
-    loop_.add_timer_after(period, [this] { arm_heartbeat(); });
   }
 
   void arm_snapshot() {
@@ -422,10 +315,8 @@ class QueryEngine::Querier {
     uint64_t buf;
     while (::read(wake_fd_.get(), &buf, sizeof(buf)) > 0) {
     }
-    heartbeat_.beat();
     // Drain the input queue without blocking: try_pop via size probe (this
-    // thread is the only consumer while it runs; reap() only drains after
-    // the thread parks).
+    // thread is the only consumer).
     while (true) {
       if (queue_.size() == 0) break;
       auto rec = queue_.pop();
@@ -441,25 +332,20 @@ class QueryEngine::Querier {
 
   void drain_adopt_inbox() {
     std::vector<PendingQuery> batch;
-    std::vector<TraceRecord> records;
     {
       std::lock_guard lock(adopt_mu_);
       batch.swap(adopt_inbox_);
-      records.swap(record_inbox_);
     }
     for (auto& pq : batch) adopt_pending(std::move(pq));
-    // A failed sibling's never-sent records re-enter the normal dispatch
-    // path: still-future timestamps keep their original schedule.
-    for (auto& rec : records) handle_record(std::move(rec));
   }
 
-  /// Take over an in-flight query salvaged from a failed sibling or
-  /// restored from a checkpoint: resend it through this querier's own
-  /// socket for the source and track it in the matching pending table.
-  /// The outcome resolves into the query's original send record.
+  /// Take over an in-flight query restored from a checkpoint: resend it
+  /// through this querier's own socket for the source and track it in the
+  /// matching pending table. The outcome resolves into the query's original
+  /// send record.
   void adopt_pending(PendingQuery pq) {
     SendRecord& sr = *pq.extern_rec;
-    pq.key = next_key_++;  // keys are per-querier; the orphan's would collide
+    pq.key = next_key_++;  // keys are per-querier
     ++report_.lifecycle.adopted_resends;
     TimeNs now = mono_now_ns();
     if (sr.send_time == 0) {
@@ -513,15 +399,9 @@ class QueryEngine::Querier {
       TimeNs deadline = clock_.deadline_for(rec.timestamp);
       if (deadline > mono_now_ns()) {
         ++pending_timers_;
-        auto shared = std::make_shared<TraceRecord>(std::move(rec));
-        // Track deferred records by token so reap() can salvage work that
-        // otherwise lives only inside timer closures.
-        uint64_t token = next_deferred_++;
-        deferred_records_.emplace(token, shared);
-        loop_.add_timer_at(deadline, [this, token, shared] {
-          deferred_records_.erase(token);
+        loop_.add_timer_at(deadline, [this, rec = std::move(rec)] {
           --pending_timers_;
-          send_query(*shared);
+          send_query(rec);
           maybe_finish();
         });
         return;
@@ -929,7 +809,6 @@ class QueryEngine::Querier {
 
   void on_lifecycle_due() {
     lifecycle_timer_ = 0;
-    heartbeat_.beat();
     TimeNs now = mono_now_ns();
     for (auto& [source, us] : udp_socks_) {
       for (auto& pq : us->pending.take_due(now))
@@ -1050,16 +929,14 @@ class QueryEngine::Querier {
     // where the abandonment sweep below accounts them) before counting.
     flush_all_udp();
     // Refuse further adoptions, then account anything still in the inbox —
-    // orphans that arrived too late to resend are errored, never lost.
+    // restored queries that arrived too late to resend are errored, never
+    // lost.
     std::vector<PendingQuery> leftover;
-    std::vector<TraceRecord> leftover_records;
     {
       std::lock_guard lock(adopt_mu_);
       adopt_closed_ = true;
       leftover.swap(adopt_inbox_);
-      leftover_records.swap(record_inbox_);
     }
-    report_.shed_queries += leftover_records.size();
     for (auto& pq : leftover) {
       SendRecord& sr = record_of(pq);
       if (sr.outcome == QueryOutcome::Pending) {
@@ -1084,7 +961,6 @@ class QueryEngine::Querier {
     }
     // Final (quiescent) snapshot: pending tables are empty, counters final.
     publish_snapshot();
-    heartbeat_.mark_done();
   }
 
   uint32_t id_;
@@ -1111,35 +987,20 @@ class QueryEngine::Querier {
   size_t pending_timers_ = 0;
   bool input_done_ = false;
   bool stopping_ = false;
-  bool stalled_ = false;
   net::EventLoop::TimerId drain_timer_ = 0;
   net::EventLoop::TimerId sweep_timer_ = 0;
   net::EventLoop::TimerId lifecycle_timer_ = 0;
   TimeNs lifecycle_deadline_ = 0;
   TimeNs last_send_ = 0;
 
-  // Timed records waiting on their send timers, salvageable by reap().
-  std::unordered_map<uint64_t, std::shared_ptr<TraceRecord>> deferred_records_;
-  uint64_t next_deferred_ = 1;
-
   // Per-source cumulative sent counts (checkpoint trace positions).
   std::unordered_map<IpAddr, uint64_t, IpAddrHash> sent_per_source_;
 
-  // Supervision state.
-  Heartbeat heartbeat_;
-  std::mutex life_mu_;
-  std::condition_variable life_cv_;
-  bool parked_ = false;
-  bool finished_ = false;
-  bool released_ = false;
-
-  // Cross-thread adoption inboxes (failed-sibling salvage, checkpoint
-  // resume): in-flight queries to resend, and never-sent trace records to
-  // dispatch through the normal schedule.
+  // Cross-thread adoption inbox: in-flight queries restored from a
+  // checkpoint, to resend.
   std::mutex adopt_mu_;
   bool adopt_closed_ = false;
   std::vector<PendingQuery> adopt_inbox_;
-  std::vector<TraceRecord> record_inbox_;
 
   // Latest published checkpoint snapshot.
   mutable std::mutex snap_mu_;
@@ -1151,14 +1012,10 @@ class QueryEngine::Querier {
 // folds their reports (counters, histograms, send records) into one on
 // collect so the controller merges per-distributor, not per-querier.
 //
-// This is also where the self-healing happens: the supervisor's failure
-// callback reaps a dead querier, moves its sticky sources to a live
-// sibling, re-dispatches its unsent records and hands its in-flight
-// queries to the sibling for adoption; and where overload shedding
-// applies — a full querier queue either back-pressures (Block), evicts
-// the oldest record with accounting (DropOldest), or blocks with the
-// stall time surfaced (ClampRate) so the operator sees what the clock
-// distortion cost.
+// This is where overload shedding applies: a full querier queue either
+// back-pressures (Block), evicts the oldest record with accounting
+// (DropOldest), or blocks with the stall time surfaced (ClampRate) so the
+// operator sees what the clock distortion cost.
 // ---------------------------------------------------------------------------
 class QueryEngine::Distributor {
  public:
@@ -1169,7 +1026,6 @@ class QueryEngine::Distributor {
       queriers_.push_back(std::make_unique<Querier>(
           first_querier_id + static_cast<uint32_t>(i), config, clock));
     }
-    alive_.assign(queriers_.size(), true);
     thread_ = std::thread([this] { run(); });
   }
 
@@ -1179,89 +1035,19 @@ class QueryEngine::Distributor {
 
   /// Controller thread: overload policy applies here too, so a saturated
   /// distributor sheds instead of silently stretching the replay clock.
-  void submit(TraceRecord rec) {
-    PushResult pr = push_with_policy(queue_, rec, nullptr);
-    if (pr != PushResult::Ok) shed_.fetch_add(1, std::memory_order_relaxed);
-  }
+  void submit(TraceRecord rec) { push(queue_, rec); }
 
   void finish() { queue_.close(); }
-
-  void register_watches(Supervisor& supervisor, size_t dist_index) {
-    supervisor.watch("distributor-" + std::to_string(dist_index), &heartbeat_,
-                     nullptr);
-    for (size_t i = 0; i < queriers_.size(); ++i) {
-      supervisor.watch("querier-" + std::to_string(queriers_[i]->id()),
-                       &queriers_[i]->heartbeat(), [this, i] { recover(i); });
-    }
-  }
-
-  /// Supervisor thread: a querier's heartbeat went stale. Reap it, move
-  /// its sources to a sibling, re-dispatch what it never sent and have the
-  /// sibling adopt what was in flight. Every salvaged query either reaches
-  /// the sibling or is accounted (shed / expired) — none vanish.
-  void recover(size_t idx) {
-    Querier::Salvage salvage;
-    if (!queriers_[idx]->reap(salvage)) return;  // finished normally
-    size_t target = SIZE_MAX;
-    uint64_t moved = 0;
-    {
-      std::lock_guard lock(map_mu_);
-      alive_[idx] = false;
-      for (size_t t = 0; t < queriers_.size(); ++t) {
-        if (alive_[t]) {
-          target = t;
-          break;
-        }
-      }
-      if (target != SIZE_MAX) {
-        for (auto& [source, qi] : source_to_querier_) {
-          if (qi == idx) {
-            qi = target;
-            ++moved;
-          }
-        }
-      }
-    }
-    queriers_[idx]->release();
-    {
-      std::lock_guard lock(recover_mu_);
-      ++recover_report_.querier_failures;
-      recover_report_.sources_reassigned += moved;
-    }
-    if (target == SIZE_MAX) {
-      graveyard(std::move(salvage));
-      return;
-    }
-    // Never-sent records and in-flight queries both go through the adopt
-    // inboxes — the sibling's input queue is closed once routing finished,
-    // but the inboxes stay open while it drains, so a mid-drain recovery
-    // re-dispatches on the original schedule instead of shedding.
-    Querier& sibling = *queriers_[target];
-    if (!salvage.unsent.empty() && !sibling.adopt_records(salvage.unsent)) {
-      shed_.fetch_add(salvage.unsent.size(), std::memory_order_relaxed);
-      salvage.unsent.clear();
-    }
-    if (!salvage.pending.empty() && !sibling.adopt(salvage.pending))
-      graveyard(std::move(salvage));
-  }
 
   /// Resume path (controller thread, before dispatch): route a restored
   /// in-flight query to the querier that owns its source.
   bool adopt_restored(PendingQuery pq) {
-    size_t idx;
-    {
-      std::lock_guard lock(map_mu_);
-      idx = querier_for_locked(pq.source);
-    }
-    if (idx == SIZE_MAX) return false;
-    std::vector<PendingQuery> one;
-    one.push_back(std::move(pq));
-    return queriers_[idx]->adopt(one);
+    return queriers_[querier_for(pq.source)]->adopt(std::move(pq));
   }
 
   /// Fold the queriers' latest published snapshots (and this distributor's
-  /// recovery/shedding ledger) into a checkpoint cut. Supervisor thread or
-  /// controller thread (final checkpoint, after joins).
+  /// shedding ledger) into a checkpoint cut. Ticker thread, or controller
+  /// thread (final checkpoint, after joins).
   void gather(CheckpointState& state) {
     for (auto& q : queriers_) {
       QuerierSnapshot s = q->snapshot();
@@ -1274,13 +1060,8 @@ class QueryEngine::Distributor {
     state.partial.merge_from(own_report());
   }
 
-  void join_all() {
-    if (thread_.joinable()) thread_.join();
-    for (auto& q : queriers_) q->join();
-  }
-
   EngineReport collect() {
-    join_all();
+    if (thread_.joinable()) thread_.join();
     EngineReport merged;
     for (auto& q : queriers_) merged.merge_from(q->take_report());
     merged.merge_from(own_report());
@@ -1288,155 +1069,53 @@ class QueryEngine::Distributor {
   }
 
  private:
-  /// This distributor's own books — the recovery ledger, overload shedding,
-  /// ClampRate stalls and queue depth — as one report that merges like a
-  /// querier's. A copy: the final checkpoint gather reads the ledger after
-  /// collect().
-  EngineReport own_report() {
+  /// This distributor's own books — overload shedding, ClampRate stalls and
+  /// queue depth — as one report that merges like a querier's.
+  EngineReport own_report() const {
     EngineReport own;
-    {
-      std::lock_guard lock(recover_mu_);
-      own = recover_report_;
-    }
-    own.shed_queries += shed_.load(std::memory_order_relaxed);
-    own.clamp_stall_ns += clamp_stall_ns_.load(std::memory_order_relaxed);
-    own.queue_hwm = std::max(own.queue_hwm, high_water());
+    own.shed_queries = overload_.shed.load(std::memory_order_relaxed);
+    own.clamp_stall_ns = overload_.clamp_stall_ns.load(std::memory_order_relaxed);
+    own.queue_hwm = queue_.high_water();
+    for (const auto& q : queriers_)
+      own.queue_hwm = std::max<uint64_t>(own.queue_hwm, q->queue_high_water());
     return own;
   }
 
-  uint64_t high_water() const {
-    uint64_t hwm = queue_.high_water();
-    for (const auto& q : queriers_)
-      hwm = std::max<uint64_t>(hwm, q->queue_high_water());
-    return hwm;
+  /// Push under the configured overload policy. A push onto a closed queue
+  /// (never expected: queues close only after the last push) is shed with
+  /// accounting rather than lost.
+  bool push(BoundedQueue<TraceRecord>& q, TraceRecord& rec) {
+    if (push_with_policy(q, rec, config_.overload, config_.shed_grace,
+                         overload_) == PushResult::Ok)
+      return true;
+    overload_.shed.fetch_add(1, std::memory_order_relaxed);
+    return false;
   }
 
-  /// Push under the configured overload policy. Block and ClampRate loop
-  /// with a bounded grace so the producer keeps beating (and re-checks for
-  /// closure — recovery closes a dead querier's queue to unblock us).
-  PushResult push_with_policy(BoundedQueue<TraceRecord>& q, TraceRecord& rec,
-                              Heartbeat* hb) {
-    switch (config_.overload) {
-      case OverloadPolicy::DropOldest: {
-        PushResult pr = q.push_for(rec, config_.shed_grace);
-        if (pr != PushResult::Full) return pr;
-        std::optional<TraceRecord> evicted;
-        pr = q.evict_push(rec, evicted);
-        if (pr == PushResult::Ok && evicted.has_value())
-          shed_.fetch_add(1, std::memory_order_relaxed);
-        return pr;
-      }
-      case OverloadPolicy::ClampRate: {
-        PushResult pr = q.push_for(rec, config_.shed_grace);
-        if (pr != PushResult::Full) return pr;
-        TimeNs t0 = mono_now_ns();
-        while ((pr = q.push_for(rec, kPushBeatGrace)) == PushResult::Full) {
-          if (hb != nullptr) hb->beat();
-        }
-        clamp_stall_ns_.fetch_add(mono_now_ns() - t0,
-                                  std::memory_order_relaxed);
-        return pr;
-      }
-      case OverloadPolicy::Block:
-      default: {
-        PushResult pr;
-        while ((pr = q.push_for(rec, kPushBeatGrace)) == PushResult::Full) {
-          if (hb != nullptr) hb->beat();
-        }
-        return pr;
-      }
-    }
-  }
-
-  /// Sticky querier for a source, skipping dead queriers; SIZE_MAX when
-  /// none is left alive. Caller holds map_mu_.
-  size_t querier_for_locked(const IpAddr& source) {
-    auto it = source_to_querier_.find(source);
-    if (it != source_to_querier_.end() && alive_[it->second]) return it->second;
-    for (size_t tries = 0; tries < queriers_.size(); ++tries) {
-      size_t idx = next_++ % queriers_.size();
-      if (alive_[idx]) {
-        source_to_querier_[source] = idx;
-        return idx;
-      }
-    }
-    return SIZE_MAX;
-  }
-
-  /// Nobody can take the salvage: account every query as lost, loudly.
-  void graveyard(Querier::Salvage&& salvage) {
-    std::lock_guard lock(recover_mu_);
-    recover_report_.shed_queries += salvage.unsent.size();
-    for (auto& pq : salvage.pending) {
-      if (pq.extern_rec != nullptr &&
-          pq.extern_rec->outcome == QueryOutcome::Pending) {
-        pq.extern_rec->outcome = QueryOutcome::Errored;
-        ++recover_report_.lifecycle.expired;
-      }
-    }
+  /// Sticky querier for a source, round-robin on first sight. The resume
+  /// path calls this on the controller thread before any record is
+  /// submitted; routing calls it on this distributor's thread after — the
+  /// input queue orders the two.
+  size_t querier_for(const IpAddr& source) {
+    auto [it, fresh] = source_to_querier_.emplace(source, next_);
+    if (fresh) next_ = (next_ + 1) % queriers_.size();
+    return it->second;
   }
 
   void run() {
-    while (true) {
-      // Bounded pop so the heartbeat advances even on an idle queue.
-      auto rec = queue_.pop_for(kPushBeatGrace);
-      heartbeat_.beat();
-      if (!rec.has_value()) {
-        if (queue_.closed_and_empty()) break;
-        continue;
-      }
-      route(std::move(*rec));
+    while (auto rec = queue_.pop()) {
+      Querier& q = *queriers_[querier_for(rec->src.addr)];
+      if (push(q.queue(), *rec)) q.wake();
     }
     for (auto& q : queriers_) q->finish();
-    heartbeat_.mark_done();
-  }
-
-  void route(TraceRecord rec) {
-    while (true) {
-      size_t idx;
-      {
-        std::lock_guard lock(map_mu_);
-        idx = querier_for_locked(rec.src.addr);
-      }
-      if (idx == SIZE_MAX) {
-        // Every querier is dead: shed with accounting, never hang.
-        shed_.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      Querier& q = *queriers_[idx];
-      PushResult pr = push_with_policy(q.queue(), rec, &heartbeat_);
-      if (pr == PushResult::Ok) {
-        q.wake();
-        return;
-      }
-      // Closed: the querier died under us (recovery closed its queue).
-      // The record survived the rejected push — re-route it.
-      std::lock_guard lock(map_mu_);
-      alive_[idx] = false;
-      source_to_querier_.erase(rec.src.addr);
-    }
   }
 
   const EngineConfig& config_;
   BoundedQueue<TraceRecord> queue_;
   std::vector<std::unique_ptr<Querier>> queriers_;
-  Heartbeat heartbeat_;
-
-  // Sticky source→querier map plus liveness, shared with the supervisor's
-  // recovery callback (which remaps a dead querier's sources).
-  std::mutex map_mu_;
   std::unordered_map<IpAddr, size_t, IpAddrHash> source_to_querier_;
-  std::vector<bool> alive_;
   size_t next_ = 0;
-
-  // Recovery ledger: failure counts and grave-yarded query accounting,
-  // written by the supervisor thread, merged after all joins.
-  std::mutex recover_mu_;
-  EngineReport recover_report_;
-
-  std::atomic<uint64_t> shed_{0};
-  std::atomic<uint64_t> clamp_stall_ns_{0};
-
+  OverloadLedger overload_;
   std::thread thread_;
 };
 
@@ -1453,6 +1132,9 @@ Result<EngineReport> QueryEngine::replay(const std::vector<TraceRecord>& trace,
     return Err("need at least one distributor and querier");
   if (shared_clock != nullptr && !shared_clock->started())
     return Err("shared clock not started");
+  // A zero interval would re-arm the snapshot timer at `now` forever.
+  if (config_.checkpointing() && config_.checkpoint_interval <= 0)
+    return Err("checkpoint interval must be positive");
   if (config_.shards > 1) return replay_sharded(trace, shared_clock);
 
   if (config_.resume != nullptr && config_.resume_shards != nullptr)
@@ -1531,10 +1213,6 @@ Result<EngineReport> QueryEngine::replay(const std::vector<TraceRecord>& trace,
 
   std::atomic<uint64_t> mutator_dropped{0};
 
-  // Supervision and the checkpoint ticker share one background thread.
-  Supervisor supervisor(Supervisor::Config{
-      config_.supervision_interval, config_.heartbeat_timeout,
-      config_.checkpoint_interval});
   auto gather_state = [&] {
     CheckpointState st;
     st.trace_hash = fingerprint;
@@ -1551,22 +1229,17 @@ Result<EngineReport> QueryEngine::replay(const std::vector<TraceRecord>& trace,
     for (auto& d : distributors) d->gather(st);
     return st;
   };
-  if (config_.supervise) {
-    for (size_t i = 0; i < distributors.size(); ++i)
-      distributors[i]->register_watches(supervisor, i);
-  }
-  if (checkpointing) {
-    supervisor.set_checkpoint([&] {
-      CheckpointState st = gather_state();
-      if (!config_.checkpoint_path.empty()) {
-        auto saved = save_checkpoint(config_.checkpoint_path, st);
-        if (!saved.ok())
-          LDP_WARN("replay", "checkpoint failed: " << saved.error().message);
-      }
-      if (config_.checkpoint_sink) config_.checkpoint_sink(st);
-    });
-  }
-  if (config_.supervise || checkpointing) supervisor.start();
+  auto checkpoint = [&] {
+    CheckpointState st = gather_state();
+    if (!config_.checkpoint_path.empty()) {
+      auto saved = save_checkpoint(config_.checkpoint_path, st);
+      if (!saved.ok())
+        LDP_WARN("replay", "checkpoint failed: " << saved.error().message);
+    }
+    if (config_.checkpoint_sink) config_.checkpoint_sink(st);
+  };
+  Supervisor ticker(config_.checkpoint_interval, checkpoint);
+  if (checkpointing) ticker.start();
 
   // Restored in-flight queries are adopted before dispatch, so their
   // sources' sticky assignment is decided by the query that was first on
@@ -1622,21 +1295,13 @@ Result<EngineReport> QueryEngine::replay(const std::vector<TraceRecord>& trace,
   }
   for (auto& d : distributors) d->finish();
 
-  // Shutdown order matters. The supervisor stays alive across the joins:
-  // a querier parked by a stall is only ever released through the
-  // supervisor's reap→recover→release handshake, so stopping it first
-  // would deadlock the join (parking is gated on supervision, so with it
-  // off nothing ever parks and the joins are trivially safe). And every
-  // querier must be joined BEFORE any report is merged — sibling adopters
-  // write through extern pointers into each other's send vectors until
-  // they exit, and merging moves those vectors.
-  for (auto& d : distributors) d->join_all();
-  supervisor.stop();
-
   EngineReport merged;
   merged.mutator_dropped = mutator_dropped.load(std::memory_order_relaxed);
   merged.replay_start = clock.real_origin();
   for (auto& d : distributors) merged.merge_from(d->collect());
+  // Stop the ticker before the final checkpoint so the two never write the
+  // file at once.
+  ticker.stop();
 
   // Restored records that never resolved (adopter shut down first, or the
   // adoption itself failed) expire with accounting.
@@ -1656,15 +1321,7 @@ Result<EngineReport> QueryEngine::replay(const std::vector<TraceRecord>& trace,
 
   // Final quiescent checkpoint: a completed replay's file resumes into a
   // no-op (and the kill-and-resume smoke path reads its counters).
-  if (checkpointing) {
-    CheckpointState st = gather_state();
-    if (!config_.checkpoint_path.empty()) {
-      auto saved = save_checkpoint(config_.checkpoint_path, st);
-      if (!saved.ok())
-        LDP_WARN("replay", "final checkpoint failed: " << saved.error().message);
-    }
-    if (config_.checkpoint_sink) config_.checkpoint_sink(st);
-  }
+  if (checkpointing) checkpoint();
 
   distributors.clear();
   source_to_distributor_.clear();

@@ -9,6 +9,7 @@
 // a real server endpoint, and the §2.6 scheduling math runs unchanged.
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -31,11 +32,11 @@ namespace ldp::replay {
 struct CheckpointState;  // checkpoint.hpp (engine.cpp includes it)
 
 /// What a distributor does when a querier queue stays full past the grace
-/// period (a stalled or overloaded consumer). Block preserves every query
-/// at the cost of stalling the controller clock; the shedding policies
-/// keep the clock honest and account for what they cost.
+/// period (an overloaded consumer). Block preserves every query at the cost
+/// of stalling the controller clock; the shedding policies keep the clock
+/// honest and account for what they cost.
 enum class OverloadPolicy : uint8_t {
-  Block = 0,      ///< wait forever (back-pressure; recovery unblocks via close)
+  Block = 0,      ///< wait for room (lossless back-pressure)
   DropOldest = 1, ///< evict the oldest queued record, counted as shed
   ClampRate = 2,  ///< keep blocking but account the stall time
 };
@@ -91,25 +92,18 @@ struct EngineConfig {
   /// how sources are spread over queriers or controllers. nullopt = clean
   /// link.
   std::optional<fault::FaultSpec> fault;
-  /// Self-healing layer: a supervisor thread watches querier/distributor
-  /// heartbeats and recovers a stalled querier (reassigning its sources to
-  /// a sibling and resending its in-flight queries). Disabling supervision
-  /// also disables querier_stall fault injection (nothing would recover
-  /// the stalled thread).
-  bool supervise = true;
-  TimeNs heartbeat_timeout = 5 * kSecond;
-  TimeNs supervision_interval = 500 * kMilli;
   /// Overload shedding for the controller→distributor→querier queues:
   /// how long a push may wait before the policy kicks in.
   OverloadPolicy overload = OverloadPolicy::Block;
   TimeNs shed_grace = 5 * kMilli;
-  /// Deterministic checkpoint/resume: when `checkpoint_path` is set, the
-  /// supervisor periodically snapshots per-source trace positions, fault
-  /// stream draw positions and in-flight queries to the file (atomically,
-  /// tmp+rename), and a final quiescent snapshot is written when the
-  /// replay completes. `resume` replays only what the checkpoint hasn't
-  /// sent and folds the checkpoint's counters into the final report; it
-  /// must outlive the replay() call.
+  /// Deterministic checkpoint/resume: when `checkpoint_path` is set, a
+  /// ticker thread snapshots per-source trace positions, fault stream draw
+  /// positions and in-flight queries to the file (atomically, tmp+rename)
+  /// every checkpoint_interval, which must be positive, and a final
+  /// quiescent snapshot is written when the replay completes. `resume`
+  /// replays only what the checkpoint hasn't sent and folds the
+  /// checkpoint's counters into the final report; it must outlive the
+  /// replay() call.
   std::string checkpoint_path;
   TimeNs checkpoint_interval = kSecond;
   const CheckpointState* resume = nullptr;
@@ -123,9 +117,9 @@ struct EngineConfig {
   /// the final quiescent one) in addition to — or instead of — the file at
   /// checkpoint_path. The distributed worker wires this to CHECKPOINT
   /// control frames so the controller always holds a fresh resume point.
-  /// Runs on the supervisor thread; must be cheap and must not call back
-  /// into the engine. Only valid with shards == 1 (a per-shard sink would
-  /// interleave unrelated slices).
+  /// Runs on the checkpoint ticker thread; must be cheap and must not call
+  /// back into the engine. Only valid with shards == 1 (a per-shard sink
+  /// would interleave unrelated slices).
   std::function<void(const CheckpointState&)> checkpoint_sink;
 
   /// True when any checkpoint consumer is configured — queriers then track
@@ -156,9 +150,7 @@ struct EngineReport {
   /// Peak number of simultaneously in-flight queries in any one querier;
   /// bounded by the expiry window, so long replays with loss stay flat.
   uint64_t max_in_flight = 0;
-  // Self-healing layer accounting.
-  uint64_t querier_failures = 0;    ///< queriers declared dead and recovered
-  uint64_t sources_reassigned = 0;  ///< sticky sources moved to a sibling
+  // Overload accounting.
   uint64_t shed_queries = 0;        ///< records dropped by overload shedding
   uint64_t queue_hwm = 0;           ///< deepest any worker queue ever got
   uint64_t clamp_stall_ns = 0;      ///< time ClampRate spent blocked on full queues
@@ -195,8 +187,6 @@ struct EngineReport {
         Counter{"connections_opened", &R::connections_opened},
         Counter{"mutator_dropped", &R::mutator_dropped},
         Counter{"max_in_flight", &R::max_in_flight, MergeRule::Max},
-        Counter{"querier_failures", &R::querier_failures},
-        Counter{"sources_reassigned", &R::sources_reassigned},
         Counter{"shed_queries", &R::shed_queries},
         Counter{"queue_hwm", &R::queue_hwm, MergeRule::Max},
         Counter{"clamp_stall_ns", &R::clamp_stall_ns},
@@ -227,6 +217,22 @@ static_assert(sizeof(EngineReport) ==
 /// one slice, and deterministic, so worker and controller agree on it.
 std::vector<std::vector<trace::TraceRecord>> partition_by_source(
     const std::vector<trace::TraceRecord>& trace, size_t n);
+
+/// What overload handling cost one producer: records shed and time spent
+/// blocked under ClampRate. Atomic, because the checkpoint ticker reads it
+/// while the producer pushes.
+struct OverloadLedger {
+  std::atomic<uint64_t> shed{0};
+  std::atomic<uint64_t> clamp_stall_ns{0};
+};
+
+/// Push `rec` into `q` under `policy`. Block waits for room; DropOldest
+/// waits `shed_grace`, then evicts the oldest queued record and counts it
+/// in `ledger.shed`; ClampRate waits `shed_grace`, then blocks and books the
+/// blocked time. Returns Closed, with `rec` intact, only if `q` was closed.
+PushResult push_with_policy(BoundedQueue<trace::TraceRecord>& q,
+                            trace::TraceRecord& rec, OverloadPolicy policy,
+                            TimeNs shed_grace, OverloadLedger& ledger);
 
 class QueryEngine {
  public:

@@ -53,9 +53,10 @@ struct PendingQuery {
   TimeNs first_send = 0;      ///< original send attempt (latency baseline)
   TimeNs deadline = 0;        ///< next timeout
   IpAddr source;              ///< original trace source (socket/stream routing)
-  /// Set when this query's send record lives in another report: a failed
-  /// querier's (supervision adopted it) or a resumed checkpoint's partial.
-  /// When non-null it overrides send_index for outcome resolution.
+  /// Set when this query was restored from a checkpoint: its send record
+  /// lives in the replay's restored-record storage, not in the adopting
+  /// querier's report. When non-null it overrides send_index for outcome
+  /// resolution.
   SendRecord* extern_rec = nullptr;
   std::vector<uint8_t> payload;
 };

@@ -2,14 +2,7 @@
 
 #include <chrono>
 
-#include "util/log.hpp"
-
 namespace ldp::replay {
-
-void Supervisor::watch(std::string name, Heartbeat* heartbeat,
-                       std::function<void()> on_failure) {
-  watches_.push_back(Watch{std::move(name), heartbeat, std::move(on_failure)});
-}
 
 void Supervisor::start() {
   thread_ = std::thread([this] { run(); });
@@ -25,32 +18,13 @@ void Supervisor::stop() {
 }
 
 void Supervisor::run() {
-  TimeNs last_checkpoint = mono_now_ns();
   std::unique_lock lock(mu_);
-  while (!stop_requested_) {
-    cv_.wait_for(lock, std::chrono::nanoseconds(config_.interval),
-                 [this] { return stop_requested_; });
-    if (stop_requested_) break;
-    // Callbacks may take their time (reap handshake, checkpoint I/O);
-    // release the lock so stop() never queues behind them.
+  while (!cv_.wait_for(lock, std::chrono::nanoseconds(interval_),
+                       [this] { return stop_requested_; })) {
+    // The tick may take its time (checkpoint I/O); release the lock so
+    // stop() never queues behind it.
     lock.unlock();
-    TimeNs now = mono_now_ns();
-    for (auto& w : watches_) {
-      if (w.fired || w.heartbeat->done()) continue;
-      if (now - w.heartbeat->last_beat() < config_.heartbeat_timeout) continue;
-      w.fired = true;
-      failures_.fetch_add(1, std::memory_order_relaxed);
-      LDP_WARN("supervisor",
-               w.name << " heartbeat stale for "
-                      << (now - w.heartbeat->last_beat()) / kMilli
-                      << "ms, recovering");
-      if (w.on_failure) w.on_failure();
-    }
-    if (checkpoint_ && config_.checkpoint_interval > 0 &&
-        now - last_checkpoint >= config_.checkpoint_interval) {
-      last_checkpoint = now;
-      checkpoint_();
-    }
+    tick_();
     lock.lock();
   }
 }

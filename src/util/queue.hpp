@@ -1,5 +1,5 @@
-// Bounded MPMC queue shared by the proxy pipeline and the distributed
-// query engine (controller -> distributor -> querier message flow, §2.6).
+// Bounded MPMC queue for the distributed query engine (controller ->
+// distributor -> querier message flow, §2.6).
 //
 // Shutdown contract: close() atomically flips the queue to closed and wakes
 // every blocked producer and consumer exactly once (a single notify_all per
@@ -9,9 +9,9 @@
 // lifecycle work exists to prevent), and pops drain the remaining items
 // before returning nullopt.
 //
-// Overload handling (replay supervision layer): producers may wait with a
+// Overload handling (replay::push_with_policy): producers may wait with a
 // bounded grace (`push_for`) and then shed by evicting the oldest queued
-// item (`evict_push`) so a stalled consumer back-pressures into accounted
+// item (`evict_push`) so a saturated consumer back-pressures into accounted
 // load shedding instead of freezing the controller clock. `high_water()`
 // reports the deepest the queue ever got, for saturation diagnostics.
 #pragma once
@@ -83,16 +83,6 @@ class BoundedQueue {
   std::optional<T> pop() {
     std::unique_lock lock(mu_);
     not_empty_.wait(lock, [this] { return !items_.empty() || closed_; });
-    return take_locked();
-  }
-
-  /// Bounded-wait pop: nullopt on timeout *or* closed-and-drained; callers
-  /// that need to tell the two apart check closed_and_empty() after. Lets a
-  /// consumer thread interleave housekeeping (heartbeats) with draining.
-  std::optional<T> pop_for(TimeNs timeout) {
-    std::unique_lock lock(mu_);
-    not_empty_.wait_for(lock, std::chrono::nanoseconds(timeout),
-                        [this] { return !items_.empty() || closed_; });
     return take_locked();
   }
 

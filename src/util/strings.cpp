@@ -1,8 +1,11 @@
 #include "util/strings.hpp"
 
 #include <cctype>
+#include <cerrno>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 namespace ldp {
 
@@ -81,6 +84,19 @@ Result<uint64_t> parse_u64_in(std::string_view s, uint64_t lo, uint64_t hi) {
     return Err("must be between " + std::to_string(lo) + " and " +
                std::to_string(hi) + ", got " + std::string(s));
   return *v;
+}
+
+Result<double> parse_number(std::string_view s) {
+  std::string buf(s);
+  if (buf.empty() || !std::isdigit(static_cast<unsigned char>(buf[0])))
+    return Err("wants a non-negative number, got '" + buf + "'");
+  char* end = nullptr;
+  errno = 0;
+  double value = std::strtod(buf.c_str(), &end);
+  if (end != buf.c_str() + buf.size() || errno == ERANGE ||
+      !std::isfinite(value) || value < 0)
+    return Err("wants a non-negative number, got '" + buf + "'");
+  return value;
 }
 
 Result<int64_t> parse_seconds_ns(std::string_view s) {

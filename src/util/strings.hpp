@@ -38,6 +38,12 @@ Result<uint64_t> parse_u64(std::string_view s);
 /// ("wants a plain integer, got 'x'" / "must be between 1 and 64, got 0").
 Result<uint64_t> parse_u64_in(std::string_view s, uint64_t lo, uint64_t hi);
 
+/// Strict decimal number: the whole of `s` must be one finite non-negative
+/// number. Trailing garbage ("0.5x"), a second dot ("1.2.3"), a sign or
+/// an empty string are all rejected, so a typo'd knob fails loudly instead
+/// of running with a half-parsed value.
+Result<double> parse_number(std::string_view s);
+
 /// Parse a decimal seconds value ("12.345678") into integer nanoseconds.
 /// Accepts up to 9 fractional digits; rejects negative values and junk.
 Result<int64_t> parse_seconds_ns(std::string_view s);

@@ -37,16 +37,6 @@ View& ViewSet::add_view(std::string name) {
   return *views_.back();
 }
 
-bool ViewSet::remove_view(const View* view) {
-  for (auto it = views_.begin(); it != views_.end(); ++it) {
-    if (it->get() == view) {
-      views_.erase(it);
-      return true;
-    }
-  }
-  return false;
-}
-
 const View* ViewSet::match(const IpAddr& client) const {
   for (const auto& v : views_) {
     if (v->matches(client)) return v.get();

@@ -63,12 +63,6 @@ class ViewSet {
   /// Views are consulted in insertion order.
   View& add_view(std::string name);
 
-  /// Remove a view previously returned by add_view (rollback of a failed
-  /// multi-step install — see ShardedMetaServer::add_zone). Returns false
-  /// if `view` is not a member. Later views shift forward, preserving the
-  /// relative first-match order of everything else.
-  bool remove_view(const View* view);
-
   /// The first view matching `client`, or nullptr if none.
   const View* match(const IpAddr& client) const;
 

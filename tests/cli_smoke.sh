@@ -21,6 +21,17 @@ cd "$WORK"
 # entry ("<name>: <value>", e.g. lifecycle.timeouts).
 counter() { echo "$1" | sed -n "s/^$2: *\([0-9-]*\)\$/\1/p"; }
 
+# usage_error WANT ARGS...: ldp-replay ARGS must exit 2 and say WANT.
+# timeout: an option that wrongly got through could replay (or spin) on.
+usage_error() {
+  local want=$1 rc=0
+  shift
+  timeout 10 $REPLAY "$@" > usage.log 2>&1 || rc=$?
+  [ "$rc" = 2 ] || { echo "ldp-replay $*: exit $rc, wanted 2"; cat usage.log; exit 1; }
+  grep -qF -- "$want" usage.log \
+    || { echo "ldp-replay $*: no '$want' in:"; cat usage.log; exit 1; }
+}
+
 echo "== synth: generate a small workload in every format"
 $SYNTH fixed --gap-us 5000 --duration 2 --clients 20 --seed 7 trace.pcap
 $SYNTH root --rate 200 --duration 2 --seed 7 root.ldpb
@@ -178,7 +189,7 @@ echo "$OUT7" | grep -q "workers: 2 replay processes" || { echo "dist banner miss
 [ "$(counter "$OUT7" queries_sent)" = 400 ] || { echo "dist replay lost queries"; exit 1; }
 [ "$(counter "$OUT7" worker_crashes)" = 0 ] || { echo "clean dist run reported crashes"; exit 1; }
 
-echo "== distributed replay: kill -9 a worker, supervise, respawn, resume"
+echo "== distributed replay: kill -9 a worker, respawn, resume"
 OUT8=$($REPLAY --workers 2 --worker-bin $WORKER --checkpoint-interval 0.3 \
   --kill-worker 1 --kill-after 1.2 trace.ldpb 127.0.0.1 $PORT4 2>&1)
 echo "$OUT8"
@@ -207,6 +218,36 @@ if $REPLAY --kill-worker 1 trace.ldpb 127.0.0.1 $PORT4 2>> badworkers.log; then
   echo "--kill-worker without --workers was accepted"; exit 1
 fi
 grep -q "need --workers" badworkers.log || { echo "missing dependency error"; exit 1; }
+
+echo "== numeric flags are strict: no strtol/strtod guessing"
+# --kill-worker x used to become 0 and SIGKILL worker 0; a zero or garbage
+# --checkpoint-interval used to spin the replay forever.
+usage_error "bad --kill-worker: wants a plain integer, got 'x'" \
+  --workers 2 --kill-worker x trace.ldpb 127.0.0.1 9
+usage_error "bad --kill-worker: must be between 0 and 63" \
+  --workers 2 --kill-worker 64 trace.ldpb 127.0.0.1 9
+usage_error "bad --kill-after: wants a non-negative number, got 'x'" \
+  --workers 2 --kill-worker 1 --kill-after x trace.ldpb 127.0.0.1 9
+usage_error "bad --kill-after: must be positive" \
+  --workers 2 --kill-worker 1 --kill-after 0 trace.ldpb 127.0.0.1 9
+usage_error "bad --scale: wants a non-negative number, got '-2'" \
+  --scale -2 trace.ldpb 127.0.0.1 9
+usage_error "bad --scale: must be positive" --scale 0 trace.ldpb 127.0.0.1 9
+usage_error "bad --shed-grace: wants a non-negative number, got '5ms'" \
+  --shed-grace 5ms trace.ldpb 127.0.0.1 9
+usage_error "bad --checkpoint-interval: must be positive" \
+  --checkpoint ck.state --checkpoint-interval 0 trace.ldpb 127.0.0.1 9
+usage_error "bad --checkpoint-interval: wants a non-negative number, got 'x'" \
+  --checkpoint ck.state --checkpoint-interval x trace.ldpb 127.0.0.1 9
+usage_error "bad --checkpoint-interval: must be positive and at most 1000000" \
+  --checkpoint-interval 1e300 trace.ldpb 127.0.0.1 9
+
+echo "== removed options fail loudly"
+usage_error "unknown option '--no-supervise'" --no-supervise trace.ldpb 127.0.0.1 9
+usage_error "unknown option '--heartbeat-timeout'" \
+  --heartbeat-timeout 1 trace.ldpb 127.0.0.1 9
+usage_error "unknown fault spec key 'querier_stall'" \
+  --fault querier_stall:0 trace.ldpb 127.0.0.1 9
 
 echo "== hardened server: malformed specs are strict errors"
 if $SERVER --limits max-conn:32 example.zone 2> badspec.log; then

@@ -1,14 +1,19 @@
 // Distributed-replay regression suite (`ctest -L dist` / check_dist): the
 // control protocol codecs and FrameReader, the shared source partition,
 // multi-process replay through real forked ldp-worker processes (counters,
-// kill -9 → respawn → resume exactness, respawn-budget exhaustion and the
-// in-process fallback, drift correction with a deliberately skewed worker
-// clock), and the lifted sharded-checkpoint restriction (per-shard files,
+// kill -9 → respawn → resume exactness, a SIGSTOP-wedged worker killed on
+// heartbeat staleness and respawned just as exactly, respawn-budget
+// exhaustion and the in-process fallback, drift correction with a
+// deliberately skewed worker clock), and the lifted sharded-checkpoint restriction (per-shard files,
 // merged resume). Also what the tsan-dist preset runs under ThreadSanitizer.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -111,7 +116,7 @@ TEST(DistProtocol, HelloAssignStartRoundTrip) {
   assign.heartbeat_interval = 123 * kMilli;
   assign.checkpoint_interval = 456 * kMilli;
   assign.fault_spec = "loss:0.05,seed:42";
-  assign.resume = "ldp-checkpoint v2\nmulti\nline blob\nend\n";
+  assign.resume = "ldp-checkpoint v3\nmulti\nline blob\nend\n";
   auto a = replay::dist::parse_assign(replay::dist::encode_assign(assign));
   ASSERT_TRUE(a.ok()) << a.error().message;
   EXPECT_EQ(a->index, 2u);
@@ -212,7 +217,7 @@ TEST(DistProtocol, ReportRoundTripPreservesCountersAndSends) {
   // cast to an enum value that does not exist.
   for (const char* outcome : {"4", "-1", "255"}) {
     auto bad = replay::dist::parse_report(
-        "ldp-report v2\nsend 1 2 3 10.0.0.9 0 0 " + std::string(outcome) +
+        "ldp-report v3\nsend 1 2 3 10.0.0.9 0 0 " + std::string(outcome) +
         "\nend\n");
     ASSERT_FALSE(bad.ok()) << outcome;
     EXPECT_NE(bad.error().message.find("outcome"), std::string::npos);
@@ -355,6 +360,73 @@ TEST_F(DistReplay, KillNineRespawnsAndResumesWithExactCounters) {
       killed->report, clean->report,
       {{"worker_crashes", "the killed run crashes by design"},
        {"workers_respawned", "the killed run respawns by design"},
+       {"max_drift_ns", "a clock-offset measurement, not a replay outcome"},
+       {"lifecycle.adopted_resends",
+        "the respawn resends what was in flight at the last checkpoint"},
+       replay::kQueuePeakTiming, replay::kInFlightPeakTiming});
+  std::remove(path.c_str());
+}
+
+// A real wedge, not a crash: worker 1's first incarnation is SIGSTOPped
+// mid-replay by a wrapper around the worker binary. The stopped process
+// sends no heartbeats, so the controller must SIGKILL it, reap it and
+// respawn it from its last checkpoint, with the same exact books as a
+// clean run.
+TEST_F(DistReplay, SigstopWedgedWorkerIsKilledRespawnedAndExact) {
+  auto trace = small_trace();
+  auto path = write_trace(trace, "wedge");
+  auto cfg = base_config(server_->endpoint(), path);
+  cfg.heartbeat_timeout = kSecond;
+
+  auto clean = replay::dist::run_distributed(cfg);
+  ASSERT_TRUE(clean.ok()) << clean.error().message;
+
+  // Only the first `--index 1` launch wedges; the marker file records that
+  // launch's pid, and the respawn finds it and runs clean. Launch to
+  // barrier start takes about a second (handshake, probe rounds, the 400 ms
+  // start lead), so a stop 1.6 s after launch lands mid-replay, after the
+  // first checkpoints have shipped.
+  const std::string stem =
+      "/tmp/ldp_dist_test_wedge_" + std::to_string(::getpid());
+  const std::string marker = stem + ".pid";
+  const std::string wrapper = stem + ".sh";
+  {
+    std::ofstream sh(wrapper);
+    sh << "#!/bin/sh\n"
+       << "case \" $* \" in\n"
+       << "  *\" --index 1 \"*)\n"
+       << "    if [ ! -e " << marker << " ]; then\n"
+       << "      echo $$ > " << marker << "\n"
+       << "      (sleep 1.6; kill -STOP $$) &\n"
+       << "    fi ;;\n"
+       << "esac\n"
+       << "exec " << LDP_WORKER_BIN << " \"$@\"\n";
+  }
+  ASSERT_EQ(::chmod(wrapper.c_str(), 0755), 0);
+  cfg.worker_bin = wrapper;
+  auto wedged = replay::dist::run_distributed(cfg);
+
+  pid_t stopped = 0;
+  std::ifstream(marker) >> stopped;
+  std::remove(marker.c_str());
+  std::remove(wrapper.c_str());
+  ASSERT_GT(stopped, 0) << "the wrapper never wedged worker 1";
+  // No stopped process left behind: the controller killed and reaped it.
+  if (::kill(stopped, 0) == 0) {
+    ADD_FAILURE() << "wedged worker " << stopped << " is still alive";
+    ::kill(stopped, SIGKILL);
+    ::waitpid(stopped, nullptr, 0);
+  }
+  ASSERT_TRUE(wedged.ok()) << wedged.error().message;
+
+  EXPECT_EQ(wedged->report.worker_crashes, 1u);
+  EXPECT_EQ(wedged->report.workers_respawned, 1u);
+  EXPECT_EQ(wedged->workers[1].crashes, 1u);
+  EXPECT_EQ(wedged->report.queries_sent, trace.size());
+  replay::expect_same_counters(
+      wedged->report, clean->report,
+      {{"worker_crashes", "the wedged run crashes by design"},
+       {"workers_respawned", "the wedged run respawns by design"},
        {"max_drift_ns", "a clock-offset measurement, not a replay outcome"},
        {"lifecycle.adopted_resends",
         "the respawn resends what was in flight at the last checkpoint"},

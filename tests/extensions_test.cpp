@@ -1,13 +1,11 @@
 // Tests for the paper's stated extension/future-work features implemented
-// here: zone partitioning across server shards (§3), CDN-style answer
-// rotation (§2.3), live mutation during replay (§2.2), and DoS attack
-// workloads (§1). Input splitting (§2.6) is EngineConfig::shards, covered
+// here: CDN-style answer rotation (§2.3), live mutation during replay
+// (§2.2), and DoS attack workloads (§1). Input splitting (§2.6) is EngineConfig::shards, covered
 // in shard_test.cpp.
 #include <gtest/gtest.h>
 
 #include "replay/engine.hpp"
 #include "server/background.hpp"
-#include "server/shard.hpp"
 #include "simnet/replay_sim.hpp"
 #include "synth/generator.hpp"
 #include "zone/parser.hpp"
@@ -17,138 +15,9 @@ namespace {
 
 using dns::Message;
 using dns::Name;
-using dns::Rcode;
 using dns::RRType;
 
 Name mk(std::string_view s) { return *Name::parse(s); }
-
-zone::Zone tld_zone(const std::string& tld) {
-  auto z = zone::parse_zone("$ORIGIN " + tld +
-                            ".\n$TTL 3600\n@ IN SOA ns1 admin 1 2 3 4 300\n"
-                            "@ IN NS ns1\nns1 IN A 192.0.2.1\n* IN A 192.0.2.80\n");
-  EXPECT_TRUE(z.ok());
-  return std::move(*z);
-}
-
-// --- sharded meta server ----------------------------------------------------
-
-TEST(ShardedMetaServer, ZonesSpreadAcrossShards) {
-  server::ShardedMetaServer sharded(3);
-  for (int i = 0; i < 9; ++i) {
-    IpAddr addr{Ip4{10, 3, 0, static_cast<uint8_t>(i + 1)}};
-    auto shard = sharded.add_zone(tld_zone("tld" + std::to_string(i)), {addr});
-    ASSERT_TRUE(shard.ok()) << shard.error().message;
-  }
-  auto loads = sharded.zones_per_shard();
-  ASSERT_EQ(loads.size(), 3u);
-  for (size_t n : loads) EXPECT_EQ(n, 3u);  // balanced
-}
-
-TEST(ShardedMetaServer, RoutingFollowsViewKey) {
-  server::ShardedMetaServer sharded(2);
-  IpAddr a{Ip4{10, 3, 0, 1}}, b{Ip4{10, 3, 0, 2}};
-  auto s1 = sharded.add_zone(tld_zone("alpha"), {a});
-  auto s2 = sharded.add_zone(tld_zone("beta"), {b});
-  ASSERT_TRUE(s1.ok());
-  ASSERT_TRUE(s2.ok());
-  EXPECT_EQ(*sharded.route(a), *s1);
-  EXPECT_EQ(*sharded.route(b), *s2);
-  EXPECT_FALSE(sharded.route(IpAddr{Ip4{9, 9, 9, 9}}).has_value());
-
-  Message q = Message::make_query(1, mk("www.alpha"), RRType::A, false);
-  Message r = sharded.answer(q, a);
-  EXPECT_EQ(r.header.rcode, Rcode::NoError);
-  ASSERT_EQ(r.answers.size(), 1u);
-
-  // The wrong view key reaches a shard that refuses (or no shard at all).
-  Message wrong = sharded.answer(q, IpAddr{Ip4{9, 9, 9, 9}});
-  EXPECT_EQ(wrong.header.rcode, Rcode::Refused);
-}
-
-TEST(ShardedMetaServer, SharedNameserverAddressPinsShard) {
-  // Two zones served by the same nameserver must land on the same shard.
-  server::ShardedMetaServer sharded(4);
-  IpAddr shared_ns{Ip4{10, 3, 0, 7}};
-  auto s1 = sharded.add_zone(tld_zone("one"), {shared_ns});
-  auto s2 = sharded.add_zone(tld_zone("two"), {shared_ns, IpAddr{Ip4{10, 3, 0, 8}}});
-  ASSERT_TRUE(s1.ok());
-  ASSERT_TRUE(s2.ok());
-  EXPECT_EQ(*s1, *s2);
-}
-
-TEST(ShardedMetaServer, StraddlingAddressesRejected) {
-  server::ShardedMetaServer sharded(2);
-  IpAddr a{Ip4{10, 3, 1, 1}}, b{Ip4{10, 3, 1, 2}};
-  ASSERT_TRUE(sharded.add_zone(tld_zone("one"), {a}).ok());
-  ASSERT_TRUE(sharded.add_zone(tld_zone("two"), {b}).ok());
-  // A zone claiming both nameservers can't be placed if they ended up on
-  // different shards.
-  auto r = sharded.add_zone(tld_zone("three"), {a, b});
-  if (*sharded.route(a) != *sharded.route(b)) {
-    EXPECT_FALSE(r.ok());
-  }
-}
-
-TEST(ShardedMetaServer, NoAddressesRejected) {
-  server::ShardedMetaServer sharded(2);
-  EXPECT_FALSE(sharded.add_zone(tld_zone("x"), {}).ok());
-}
-
-TEST(ShardedMetaServer, StraddlingRejectionIsDeterministicAndAtomic) {
-  // With two empty shards, the first distinct identity lands on shard 0 and
-  // the second on shard 1 (least-loaded placement), so a zone claiming both
-  // is a guaranteed straddle — no hash luck involved.
-  server::ShardedMetaServer sharded(2);
-  IpAddr a{Ip4{10, 3, 2, 1}}, b{Ip4{10, 3, 2, 2}}, c{Ip4{10, 3, 2, 3}};
-  ASSERT_TRUE(sharded.add_zone(tld_zone("one"), {a}).ok());
-  ASSERT_TRUE(sharded.add_zone(tld_zone("two"), {b}).ok());
-  ASSERT_NE(*sharded.route(a), *sharded.route(b));
-
-  auto loads_before = sharded.zones_per_shard();
-  auto r = sharded.add_zone(tld_zone("three"), {a, c, b});
-  EXPECT_FALSE(r.ok());
-  // Rejection must be atomic: the fresh address in the failed zone's
-  // nameserver set is not registered, and no shard gained a zone.
-  EXPECT_FALSE(sharded.route(c).has_value());
-  EXPECT_EQ(sharded.zones_per_shard(), loads_before);
-
-  // Queries keyed on the never-registered address are refused, not
-  // misrouted to whichever shard the failed add_zone was aimed at.
-  Message q = Message::make_query(3, mk("www.three"), RRType::A, false);
-  EXPECT_EQ(sharded.answer(q, c).header.rcode, Rcode::Refused);
-}
-
-TEST(ShardedMetaServer, InterleavedAddsRebalanceAroundPinnedShard) {
-  // A shared nameserver identity pins zones to one shard and skews the
-  // load; subsequent distinct-identity adds must flow to the least-loaded
-  // shards until everything levels out again.
-  server::ShardedMetaServer sharded(3);
-  IpAddr pinned_ns{Ip4{10, 3, 3, 1}};
-  ASSERT_TRUE(sharded.add_zone(tld_zone("pin0"), {pinned_ns}).ok());
-  const size_t pinned_shard = *sharded.route(pinned_ns);
-  for (int i = 1; i < 4; ++i) {
-    auto s = sharded.add_zone(tld_zone("pin" + std::to_string(i)), {pinned_ns});
-    ASSERT_TRUE(s.ok());
-    EXPECT_EQ(*s, pinned_shard);
-  }
-  // One shard now holds 4 zones, the others 0. Eight distinct identities,
-  // interleaved with lookups, should fill the other shards back to parity.
-  for (int i = 0; i < 8; ++i) {
-    IpAddr addr{Ip4{10, 3, 4, static_cast<uint8_t>(i + 1)}};
-    auto s = sharded.add_zone(tld_zone("solo" + std::to_string(i)), {addr});
-    ASSERT_TRUE(s.ok());
-    EXPECT_NE(*s, pinned_shard) << "add " << i << " placed on the loaded shard";
-    EXPECT_EQ(*sharded.route(addr), *s);
-  }
-  auto loads = sharded.zones_per_shard();
-  ASSERT_EQ(loads.size(), 3u);
-  for (size_t n : loads) EXPECT_EQ(n, 4u);  // 12 zones, perfectly level
-
-  // The pinned identity still answers through its shard after the
-  // rebalance (view match is first-wins, so the key reaches pin0's view).
-  Message q = Message::make_query(4, mk("www.pin0"), RRType::A, false);
-  EXPECT_EQ(sharded.answer(q, pinned_ns).header.rcode, Rcode::NoError);
-}
 
 // --- CDN answer rotation -----------------------------------------------------
 

@@ -1,8 +1,7 @@
 // Fault-scenario regression suite: fixed-seed impairment scenarios driven
 // end-to-end through the real-socket replay engine (UDP and TCP), the
-// sharded querier pool, the proxy pipeline, the ShardedMetaServer
-// routing path, and the simnet discrete-event runtime — asserting exact,
-// reproducible impairment and lifecycle counter outcomes.
+// sharded querier pool, and the simnet discrete-event runtime — asserting
+// exact, reproducible impairment and lifecycle counter outcomes.
 //
 // The exactness technique: FaultStream verdicts depend only on
 // (seed, stream name, packet index) plus packet time for window
@@ -16,9 +15,7 @@
 #include "expect_counters.hpp"
 #include "fault/fault.hpp"
 #include "fault_reference.hpp"
-#include "proxy/pipeline.hpp"
 #include "server/background.hpp"
-#include "server/shard.hpp"
 #include "simnet/replay_sim.hpp"
 #include "synth/generator.hpp"
 #include "zone/parser.hpp"
@@ -347,116 +344,6 @@ TEST(FaultScenarios, ShardCountsIndependentOfSplit) {
   // And the whole counter table: impairment and lifecycle accounting match.
   replay::expect_same_counters(
       *one, *four, {replay::kShardQueuePeak, replay::kShardInFlightPeak});
-}
-
-// ---------------------------------------------------------------------------
-// Proxy pipeline path.
-// ---------------------------------------------------------------------------
-
-TEST(FaultScenarios, ProxyPipelineExactCounters) {
-  IpAddr meta{Ip4{10, 9, 9, 9}};
-  proxy::ServerProxy px(proxy::ServerProxy::Role::Recursive, meta);
-  std::atomic<uint64_t> sent{0};
-  proxy::ProxyPipeline pipe(px, [&sent](proxy::Datagram&&) { ++sent; },
-                            /*workers=*/2);
-
-  fault::FaultSpec spec = spec_of("loss:0.5,dup:0.1,corrupt:0.1,seed:9");
-  fault::FaultStream stream(spec, "proxy:capture");
-  pipe.set_fault(&stream);
-
-  const size_t kPackets = 300;
-  for (size_t i = 0; i < kPackets; ++i) {
-    proxy::Datagram pkt;
-    pkt.src = Endpoint{IpAddr{Ip4{192, 0, 2, static_cast<uint8_t>(i % 200 + 1)}},
-                       static_cast<uint16_t>(40000 + i)};
-    pkt.dst = Endpoint{IpAddr{Ip4{198, 51, 100, 1}}, 53};  // captured: dst :53
-    pkt.payload.assign(32, static_cast<uint8_t>(i));
-    pipe.submit(std::move(pkt));
-  }
-  pipe.shutdown();
-
-  // Reference: same stream name, same number of draws.
-  fault::FaultStream ref(spec, "proxy:capture");
-  std::vector<uint8_t> scratch(32, 0);
-  for (size_t i = 0; i < kPackets; ++i) {
-    fault::Verdict v = ref.next(static_cast<TimeNs>(i));
-    if (v.action == fault::Action::Corrupt) ref.corrupt(scratch);
-  }
-  const auto& expected = ref.counters();
-  EXPECT_GT(expected.lost(), 0u);
-  EXPECT_GT(expected.duplicated, 0u);
-  EXPECT_EQ(pipe.impairments(), expected);
-  // Drops never reach a worker; duplicates are forwarded twice.
-  EXPECT_EQ(pipe.forwarded(), kPackets - expected.lost() + expected.duplicated);
-  EXPECT_EQ(sent.load(), pipe.forwarded());
-  EXPECT_EQ(pipe.dropped(), 0u);  // every surviving packet matched the rule
-}
-
-// ---------------------------------------------------------------------------
-// ShardedMetaServer path: impaired delivery to the routed shards.
-// ---------------------------------------------------------------------------
-
-TEST(FaultScenarios, ShardedMetaServerImpairedPath) {
-  server::ShardedMetaServer sharded(2);
-  IpAddr key_a{Ip4{10, 3, 0, 1}}, key_b{Ip4{10, 3, 0, 2}};
-  IpAddr unrouted{Ip4{9, 9, 9, 9}};
-  auto mk_zone = [](const std::string& tld) {
-    auto z = zone::parse_zone("$ORIGIN " + tld +
-                              ".\n$TTL 3600\n@ IN SOA ns1 admin 1 2 3 4 300\n"
-                              "@ IN NS ns1\nns1 IN A 192.0.2.1\n* IN A 192.0.2.80\n");
-    EXPECT_TRUE(z.ok());
-    return std::move(*z);
-  };
-  ASSERT_TRUE(sharded.add_zone(mk_zone("alpha"), {key_a}).ok());
-  ASSERT_TRUE(sharded.add_zone(mk_zone("beta"), {key_b}).ok());
-
-  fault::FaultSpec spec = spec_of("loss:0.25,seed:13");
-  auto drive = [&](const char* stream_name) {
-    fault::FaultStream stream(spec, stream_name);
-    struct Tally {
-      uint64_t lost = 0, answered = 0, refused = 0;
-      fault::ImpairmentCounters impairments;
-      bool operator==(const Tally&) const = default;
-    } tally;
-    for (int i = 0; i < 120; ++i) {
-      // Every 10th query carries a view key no shard serves.
-      const IpAddr& key =
-          i % 10 == 9 ? unrouted : (i % 2 == 0 ? key_a : key_b);
-      const char* tld = i % 2 == 0 ? "alpha" : "beta";
-      dns::Message q = dns::Message::make_query(
-          static_cast<uint16_t>(i),
-          *dns::Name::parse("www." + std::string(tld)), dns::RRType::A);
-      fault::Verdict v = stream.next(static_cast<TimeNs>(i) * kMilli);
-      if (v.is_drop()) {
-        ++tally.lost;
-        continue;
-      }
-      dns::Message r = sharded.answer(q, key);
-      if (r.header.rcode == dns::Rcode::Refused) {
-        ++tally.refused;
-      } else {
-        EXPECT_EQ(r.header.rcode, dns::Rcode::NoError);
-        ++tally.answered;
-      }
-    }
-    tally.impairments = stream.counters();
-    return tally;
-  };
-
-  auto run1 = drive("shard:path");
-  auto run2 = drive("shard:path");
-  EXPECT_TRUE(run1 == run2);  // byte-identical replays
-  EXPECT_GT(run1.lost, 0u);
-  EXPECT_GT(run1.refused, 0u);  // unrouted keys that survived the link
-  EXPECT_EQ(run1.lost + run1.answered + run1.refused, 120u);
-  EXPECT_EQ(run1.impairments.processed, 120u);
-  EXPECT_EQ(run1.impairments.lost(), run1.lost);
-
-  // A different stream name draws a different (but equally deterministic)
-  // impairment pattern over the same query sequence.
-  auto other = drive("shard:other");
-  EXPECT_EQ(other.lost + other.answered + other.refused, 120u);
-  EXPECT_TRUE(drive("shard:other") == other);
 }
 
 }  // namespace

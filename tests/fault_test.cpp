@@ -368,35 +368,20 @@ TEST(FaultSpecT, ErrorsNameTheOffendingInput) {
   EXPECT_NE(garbage.error().message.find("0.5x"), std::string::npos);
 }
 
-// --- querier_stall (supervision fault injection) ----------------------------
+// --- removed keys -----------------------------------------------------------
 
-TEST(FaultSpecT, ParsesQuerierStall) {
-  auto spec = parse_fault_spec("querier_stall:3@250ms");
-  ASSERT_TRUE(spec.ok()) << spec.error().message;
-  EXPECT_EQ(spec->stall_querier, 3);
-  EXPECT_EQ(spec->stall_after, 250 * kMilli);
-  // Not a link impairment: it alone doesn't enable packet faults.
-  EXPECT_FALSE(spec->enabled());
-
-  auto at_start = parse_fault_spec("querier_stall:0");
-  ASSERT_TRUE(at_start.ok());
-  EXPECT_EQ(at_start->stall_querier, 0);
-  EXPECT_EQ(at_start->stall_after, 0);
-
-  EXPECT_FALSE(parse_fault_spec("querier_stall:-1").ok());
-  EXPECT_FALSE(parse_fault_spec("querier_stall:abc").ok());
-  EXPECT_FALSE(parse_fault_spec("querier_stall:1@xyz").ok());
-}
-
-TEST(FaultSpecT, QuerierStallRoundTripsThroughToString) {
-  auto spec = parse_fault_spec("loss:0.1,querier_stall:2@1s,seed:7");
-  ASSERT_TRUE(spec.ok());
-  auto again = parse_fault_spec(spec->to_string());
-  ASSERT_TRUE(again.ok()) << again.error().message;
-  EXPECT_EQ(again->stall_querier, 2);
-  EXPECT_EQ(again->stall_after, kSecond);
-  EXPECT_DOUBLE_EQ(again->drop, 0.1);
-  EXPECT_EQ(again->seed, 7u);
+// querier_stall injected in-process querier stalls for a thread-level
+// supervisor that no longer exists (the worker process is the failure
+// domain). The key must fail loudly, not parse into a no-op.
+TEST(FaultSpecT, RejectsRemovedQuerierStallKey) {
+  for (const char* text : {"querier_stall:0", "querier_stall:3@250ms",
+                           "loss:0.1,querier_stall:2@1s,seed:7"}) {
+    auto spec = parse_fault_spec(text);
+    ASSERT_FALSE(spec.ok()) << text;
+    EXPECT_NE(spec.error().message.find("unknown fault spec key 'querier_stall'"),
+              std::string::npos)
+        << spec.error().message;
+  }
 }
 
 // --- checkpoint/resume draw positions ---------------------------------------

@@ -1,11 +1,11 @@
 // Tests for the proxy rewrite algebra (§2.4): capture rules, the
 // src<-original-dst substitution, end-to-end query/response address flow,
-// raw-packet checksum fixing, and the threaded pipeline.
+// raw-packet checksum fixing.
 #include <gtest/gtest.h>
 
-#include "proxy/pipeline.hpp"
 #include "proxy/proxy.hpp"
 #include "trace/pcap.hpp"
+#include "util/queue.hpp"
 
 namespace ldp::proxy {
 namespace {
@@ -139,37 +139,6 @@ TEST(RawRewrite, RejectsNonUdpAndShortPackets) {
   tcp[0] = 0x45;
   tcp[9] = 6;  // TCP
   EXPECT_FALSE(rewrite_raw_ipv4_udp(tcp, Ip4{1, 1, 1, 1}, Ip4{2, 2, 2, 2}).ok());
-}
-
-TEST(Pipeline, WorkersRewriteAndForward) {
-  std::mutex mu;
-  std::vector<Datagram> sent;
-  {
-    ProxyPipeline pipeline(ServerProxy(ServerProxy::Role::Recursive, kMeta),
-                           [&](Datagram&& pkt) {
-                             std::lock_guard lock(mu);
-                             sent.push_back(std::move(pkt));
-                           },
-                           /*workers=*/4, /*queue_capacity=*/64);
-    for (int i = 0; i < 500; ++i) {
-      Datagram pkt = query_pkt();
-      pkt.src.port = static_cast<uint16_t>(42000 + i);
-      pipeline.submit(std::move(pkt));
-    }
-    // Non-matching packet gets dropped, not forwarded.
-    Datagram resp;
-    resp.src = Endpoint{kComServer, 53};
-    resp.dst = Endpoint{kRecursive, 42001};
-    pipeline.submit(std::move(resp));
-    pipeline.shutdown();
-    EXPECT_EQ(pipeline.forwarded(), 500u);
-    EXPECT_EQ(pipeline.dropped(), 1u);
-  }
-  EXPECT_EQ(sent.size(), 500u);
-  for (const auto& pkt : sent) {
-    EXPECT_TRUE(pkt.dst.addr == kMeta);
-    EXPECT_TRUE(pkt.src.addr == kComServer);
-  }
 }
 
 TEST(BoundedQueueT, CloseDrainsThenStops) {

@@ -125,7 +125,7 @@ TEST(QueueRaceT, CloseWakesBlockedProducerWithItemPreserved) {
   EXPECT_TRUE(returned.load(std::memory_order_acquire));
   EXPECT_EQ(stuck, 42);  // rejected with the item intact
   // The filler item still drains after close.
-  EXPECT_EQ(q.pop_for(0), std::optional<int>(0));
+  EXPECT_EQ(q.pop(), std::optional<int>(0));  // closed: never blocks
   EXPECT_TRUE(q.closed_and_empty());
 }
 

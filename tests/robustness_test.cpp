@@ -1,6 +1,5 @@
-// Self-healing replay pipeline tests: supervision (a stalled querier is
-// detected, reaped, and its work finishes on a sibling), overload shedding
-// (a saturated queue sheds with accounting instead of stalling), and
+// Self-healing replay pipeline tests: overload shedding (a saturated queue
+// sheds with accounting instead of stalling), the checkpoint ticker, and
 // deterministic checkpoint/resume (a replay cut in two produces the same
 // books as one that never stopped). Plus unit coverage for
 // EngineReport::merge_from, the checkpoint file format, and the counter
@@ -18,6 +17,7 @@
 
 #include "expect_counters.hpp"
 #include "replay/checkpoint.hpp"
+#include "replay/dist/controller.hpp"
 #include "replay/dist/protocol.hpp"
 #include "replay/engine.hpp"
 #include "replay/supervisor.hpp"
@@ -105,34 +105,11 @@ TEST(EngineReportT, MergeIgnoresZeroStartAndSentinelSendTimes) {
   EXPECT_EQ(fresh.replay_start, 4000);
 }
 
-// --- supervisor primitives --------------------------------------------------
-
-TEST(SupervisorT, FiresOncePerStaleWatchAndHonoursDone) {
-  Heartbeat stale, busy, done;
-  std::atomic<int> fired{0};
-  // Generous timeout vs. beat period: under a loaded test machine (parallel
-  // ctest, TSan) the beating thread can be descheduled for tens of ms, and a
-  // tight margin turns that jitter into a false "busy declared dead".
-  Supervisor sup(Supervisor::Config{5 * kMilli, 250 * kMilli, 0});
-  sup.watch("stale", &stale, [&] { fired.fetch_add(1); });
-  sup.watch("busy", &busy, [&] { ADD_FAILURE() << "busy querier declared dead"; });
-  sup.watch("done", &done, [&] { ADD_FAILURE() << "done querier declared dead"; });
-  done.mark_done();
-  sup.start();
-  // `busy` keeps beating; `stale` never does.
-  for (int i = 0; i < 120; ++i) {
-    busy.beat();
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  sup.stop();
-  EXPECT_EQ(fired.load(), 1);  // at most once, even over many intervals
-  EXPECT_EQ(sup.failures_detected(), 1u);
-}
+// --- checkpoint ticker ------------------------------------------------------
 
 TEST(SupervisorT, CheckpointTickerRunsPeriodically) {
-  Supervisor sup(Supervisor::Config{5 * kMilli, kSecond, 10 * kMilli});
   std::atomic<int> ticks{0};
-  sup.set_checkpoint([&] { ticks.fetch_add(1); });
+  Supervisor sup(10 * kMilli, [&] { ticks.fetch_add(1); });
   sup.start();
   std::this_thread::sleep_for(std::chrono::milliseconds(120));
   sup.stop();
@@ -215,7 +192,7 @@ TEST(CheckpointT, LoaderRejectsDamagedFiles) {
 
   {
     std::ofstream os(path);
-    os << "ldp-checkpoint v2\ntrace 1 2\n";  // killed mid-write: no end marker
+    os << "ldp-checkpoint v3\ntrace 1 2\n";  // killed mid-write: no end marker
   }
   auto truncated = load_checkpoint(path);
   ASSERT_FALSE(truncated.ok());
@@ -223,7 +200,7 @@ TEST(CheckpointT, LoaderRejectsDamagedFiles) {
 
   {
     std::ofstream os(path);
-    os << "ldp-checkpoint v2\nfrobnicate 1\nend\n";
+    os << "ldp-checkpoint v3\nfrobnicate 1\nend\n";
   }
   auto unknown = load_checkpoint(path);
   ASSERT_FALSE(unknown.ok());
@@ -231,7 +208,7 @@ TEST(CheckpointT, LoaderRejectsDamagedFiles) {
 
   {
     std::ofstream os(path);
-    os << "ldp-checkpoint v2\npending notanip udp 0 0 0 0 -\nend\n";
+    os << "ldp-checkpoint v3\npending notanip udp 0 0 0 0 -\nend\n";
   }
   EXPECT_FALSE(load_checkpoint(path).ok());
   std::remove(path.c_str());
@@ -306,23 +283,27 @@ TEST(CounterTable, EveryCounterSurvivesCheckpointReportAndMerge) {
 }
 
 TEST(CounterTable, ReadersRejectOldMagicAndUnknownCountersAndZeroMissingOnes) {
-  auto v1 = parse_checkpoint("ldp-checkpoint v1\ntrace 1 2\nend\n");
-  ASSERT_FALSE(v1.ok());
-  EXPECT_NE(v1.error().message.find("magic"), std::string::npos);
+  for (const char* old : {"ldp-checkpoint v1", "ldp-checkpoint v2"}) {
+    auto st = parse_checkpoint(std::string(old) + "\ntrace 1 2\nend\n");
+    ASSERT_FALSE(st.ok()) << old;
+    EXPECT_NE(st.error().message.find("magic"), std::string::npos) << old;
+  }
+  // v2 files and frames still list querier_failures / sources_reassigned.
   EXPECT_FALSE(dist::parse_report("ldp-report v1\nend\n").ok());
+  EXPECT_FALSE(dist::parse_report("ldp-report v2\nend\n").ok());
 
-  auto unknown = parse_checkpoint("ldp-checkpoint v2\ncounter frobs 3\nend\n");
+  auto unknown = parse_checkpoint("ldp-checkpoint v3\ncounter frobs 3\nend\n");
   ASSERT_FALSE(unknown.ok());
   EXPECT_NE(unknown.error().message.find("frobs"), std::string::npos);
-  auto unknown_report = dist::parse_report("ldp-report v2\ncounter frobs 3\nend\n");
+  auto unknown_report = dist::parse_report("ldp-report v3\ncounter frobs 3\nend\n");
   ASSERT_FALSE(unknown_report.ok());
   EXPECT_NE(unknown_report.error().message.find("frobs"), std::string::npos);
   EXPECT_FALSE(
-      parse_checkpoint("ldp-checkpoint v2\ncounter queries_sent x\nend\n").ok());
+      parse_checkpoint("ldp-checkpoint v3\ncounter queries_sent x\nend\n").ok());
 
   // A counter the writer did not list reads as zero.
   auto sparse = parse_checkpoint(
-      "ldp-checkpoint v2\ntrace 1 2\ncounter lifecycle.retries 5\nend\n");
+      "ldp-checkpoint v3\ntrace 1 2\ncounter lifecycle.retries 5\nend\n");
   ASSERT_TRUE(sparse.ok()) << sparse.error().message;
   EngineReport want;
   want.lifecycle.retries = 5;
@@ -341,115 +322,67 @@ TEST(CheckpointT, TraceFingerprintSeparatesTraces) {
   EXPECT_NE(trace_fingerprint(a), trace_fingerprint(b));
 }
 
-// --- supervision: stall detection and recovery ------------------------------
-
-// A querier wedged mid-replay (querier_stall fault injection) must not hang
-// the run: the supervisor reaps it, its sources move to the sibling, and
-// every query still reaches a terminal outcome.
-TEST(SelfHealingT, StalledQuerierIsRecoveredWithNothingLost) {
-  auto bg = server::BackgroundServer::start(wildcard_server());
-  ASSERT_TRUE(bg.ok()) << bg.error().message;
-
-  synth::FixedTraceSpec spec;
-  spec.interarrival_ns = 5 * kMilli;
-  spec.duration_ns = 2 * kSecond;  // 400 queries
-  spec.client_count = 10;
-  auto trace = synth::make_fixed_trace(spec);
-
-  EngineConfig cfg;
-  cfg.server = (*bg)->endpoint();
-  cfg.distributors = 1;
-  cfg.queriers_per_distributor = 2;
-  cfg.supervise = true;
-  cfg.heartbeat_timeout = 300 * kMilli;
-  cfg.supervision_interval = 50 * kMilli;
-  cfg.drain_grace = kSecond;
-  fault::FaultSpec fs;
-  fs.stall_querier = 0;
-  fs.stall_after = 50 * kMilli;
-  cfg.fault = fs;
-
-  QueryEngine engine(cfg);
-  auto report = engine.replay(trace);
-  ASSERT_TRUE(report.ok()) << report.error().message;
-
-  EXPECT_EQ(report->querier_failures, 1u);
-  EXPECT_GE(report->sources_reassigned, 1u);
-  // Conservation: every trace record was either sent or shed-with-
-  // accounting, and nothing is left dangling without a verdict.
-  EXPECT_EQ(report->queries_sent + report->shed_queries, trace.size());
-  for (const auto& sr : report->sends)
-    EXPECT_NE(sr.outcome, QueryOutcome::Pending);
-  // The healthy majority of the replay still got answered.
-  EXPECT_GT(report->responses_received, trace.size() / 2);
-}
-
-// Supervision off: the same stall spec is inert (nothing would recover the
-// thread, so the engine must not arm the trap).
-TEST(SelfHealingT, StallInjectionIsDisabledWithoutSupervision) {
-  auto bg = server::BackgroundServer::start(wildcard_server());
-  ASSERT_TRUE(bg.ok()) << bg.error().message;
-
-  synth::FixedTraceSpec spec;
-  spec.interarrival_ns = 2 * kMilli;
-  spec.duration_ns = 100 * kMilli;
-  spec.client_count = 4;
-  auto trace = synth::make_fixed_trace(spec);
-
-  EngineConfig cfg;
-  cfg.server = (*bg)->endpoint();
-  cfg.supervise = false;
-  fault::FaultSpec fs;
-  fs.stall_querier = 0;
-  cfg.fault = fs;
-
-  QueryEngine engine(cfg);
-  auto report = engine.replay(trace);
-  ASSERT_TRUE(report.ok()) << report.error().message;
-  EXPECT_EQ(report->querier_failures, 0u);
-  EXPECT_EQ(report->queries_sent, trace.size());
-}
-
 // --- overload shedding ------------------------------------------------------
 
-// A consumer that never drains (stalled at t=0) saturates its tiny queue;
-// DropOldest must keep the pipeline moving and account every shed record.
-// By the time supervision recovers the wedged querier the flood is long
-// over, so what reaches the books is the shedding ledger.
+// A queue nobody pops is a saturated consumer. DropOldest must keep the
+// producer moving, keep the newest records, and account every record it
+// sheds.
 TEST(SelfHealingT, DropOldestShedsInsteadOfStalling) {
-  auto bg = server::BackgroundServer::start(wildcard_server());
-  ASSERT_TRUE(bg.ok()) << bg.error().message;
-
   synth::FixedTraceSpec spec;
   spec.interarrival_ns = kMilli;
   spec.duration_ns = 400 * kMilli;  // 400 queries
-  spec.client_count = 1;            // single source -> single sticky querier
+  spec.client_count = 1;
   auto trace = synth::make_fixed_trace(spec);
 
-  EngineConfig cfg;
-  cfg.server = (*bg)->endpoint();
-  cfg.distributors = 1;
-  cfg.queriers_per_distributor = 2;
-  cfg.timed = false;  // flood the queue as fast as possible
-  cfg.queue_capacity = 8;
-  cfg.overload = OverloadPolicy::DropOldest;
-  cfg.shed_grace = kMilli;
-  cfg.supervise = true;
-  cfg.heartbeat_timeout = kSecond;  // recovery lands well after the flood
-  cfg.supervision_interval = 50 * kMilli;
-  cfg.drain_grace = 200 * kMilli;
-  fault::FaultSpec fs;
-  fs.stall_querier = 0;  // the sticky target wedges immediately
-  cfg.fault = fs;
+  constexpr size_t kCapacity = 8;
+  BoundedQueue<TraceRecord> queue(kCapacity);
+  OverloadLedger ledger;
+  for (const auto& rec : trace) {
+    TraceRecord copy = rec;
+    ASSERT_EQ(push_with_policy(queue, copy, OverloadPolicy::DropOldest, kMilli,
+                               ledger),
+              PushResult::Ok);
+  }
 
-  QueryEngine engine(cfg);
-  auto report = engine.replay(trace);
-  ASSERT_TRUE(report.ok()) << report.error().message;
-
-  EXPECT_GT(report->shed_queries, 0u);
-  EXPECT_EQ(report->queries_sent + report->shed_queries, trace.size());
+  const uint64_t shed = ledger.shed.load();
+  const uint64_t sent = queue.size();
+  EXPECT_GT(shed, 0u);
+  EXPECT_EQ(sent + shed, trace.size());
   // The tiny queue really did hit its ceiling.
-  EXPECT_EQ(report->queue_hwm, 8u);
+  EXPECT_EQ(queue.high_water(), kCapacity);
+  // The oldest went first: what is left is the tail of the trace, in order.
+  queue.close();
+  for (size_t i = trace.size() - sent; i < trace.size(); ++i) {
+    auto rec = queue.pop();
+    ASSERT_TRUE(rec.has_value());
+    EXPECT_EQ(rec->timestamp, trace[i].timestamp);
+  }
+}
+
+// ClampRate books the time it spends blocked; Block just waits. Both are
+// lossless: a consumer that frees a slot lets the push through.
+TEST(SelfHealingT, BlockingPoliciesWaitForRoomWithoutShedding) {
+  for (OverloadPolicy policy : {OverloadPolicy::Block, OverloadPolicy::ClampRate}) {
+    BoundedQueue<TraceRecord> queue(1);
+    OverloadLedger ledger;
+    TraceRecord first, second;
+    ASSERT_EQ(push_with_policy(queue, first, policy, kMilli, ledger),
+              PushResult::Ok);
+    std::thread consumer([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(30));
+      (void)queue.pop();
+    });
+    EXPECT_EQ(push_with_policy(queue, second, policy, kMilli, ledger),
+              PushResult::Ok);
+    consumer.join();
+    EXPECT_EQ(ledger.shed.load(), 0u);
+    if (policy == OverloadPolicy::ClampRate) {
+      EXPECT_GT(ledger.clamp_stall_ns.load(), 0u);
+    } else {
+      EXPECT_EQ(ledger.clamp_stall_ns.load(), 0u);
+    }
+    EXPECT_EQ(queue.size(), 1u);
+  }
 }
 
 // --- deterministic checkpoint/resume ----------------------------------------
@@ -560,6 +493,44 @@ TEST(SelfHealingT, ResumeRejectsAForeignTrace) {
   auto r = engine.replay(trace);
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.error().message.find("different trace"), std::string::npos);
+}
+
+// A zero checkpoint interval (what `--checkpoint-interval 0` or `x` used to
+// become) re-armed every querier's snapshot timer at `now` forever: the
+// replay spun at full CPU and never finished. Every checkpointing path
+// refuses it up front instead.
+TEST(CheckpointT, NonPositiveIntervalIsRefusedNotSpun) {
+  synth::FixedTraceSpec spec;
+  spec.interarrival_ns = 10 * kMilli;
+  spec.duration_ns = 100 * kMilli;
+  spec.client_count = 2;
+  auto trace = synth::make_fixed_trace(spec);
+  auto expect_refused = [](const auto& result) {
+    ASSERT_FALSE(result.ok());
+    EXPECT_NE(result.error().message.find("checkpoint interval must be positive"),
+              std::string::npos)
+        << result.error().message;
+  };
+
+  for (TimeNs interval : {TimeNs{0}, -kSecond}) {
+    EngineConfig sink;  // the distributed worker's in-memory consumer
+    sink.server = Endpoint{IpAddr{Ip4{127, 0, 0, 1}}, 9};
+    sink.checkpoint_interval = interval;
+    sink.checkpoint_sink = [](const CheckpointState&) {};
+    expect_refused(QueryEngine(sink).replay(trace));
+
+    EngineConfig file = sink;  // ldp-replay --checkpoint, one and two shards
+    file.checkpoint_sink = nullptr;
+    file.checkpoint_path = temp_path("interval_ckpt");
+    expect_refused(QueryEngine(file).replay(trace));
+    file.shards = 2;
+    expect_refused(QueryEngine(file).replay(trace));
+
+    dist::DistConfig fleet;  // ldp-replay --workers: refused before any fork
+    fleet.worker_bin = "ldp-worker";
+    fleet.checkpoint_interval = interval;
+    expect_refused(dist::run_distributed(fleet));
+  }
 }
 
 }  // namespace

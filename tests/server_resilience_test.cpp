@@ -1,8 +1,7 @@
 // Resilience-layer regression suite (`ctest -L server` / check_server):
 // admission control (LRU eviction, per-client quotas), slow-client defense
 // (read deadlines, partial-buffer caps), adaptive overload degradation with
-// hysteresis, proxy backend failover/drain, and the --limits/--overload
-// spec parsers. The frontend is driven single-threaded through
+// hysteresis, and the --limits/--overload spec parsers. The frontend is driven single-threaded through
 // EventLoop::poll_once from the test thread, so connection admission,
 // eviction order, and overload transitions are a deterministic function of
 // the scripted client actions — which is what lets the fixed-seed scenario
@@ -14,11 +13,9 @@
 #include <vector>
 
 #include "dns/message.hpp"
-#include "proxy/failover.hpp"
 #include "server/background.hpp"
 #include "server/frontend.hpp"
 #include "server/limits.hpp"
-#include "util/rng.hpp"
 #include "zone/parser.hpp"
 
 namespace ldp::server {
@@ -379,139 +376,6 @@ TEST(Accounting, ShutdownAndSweepStayConsistent) {
   EXPECT_EQ(h.stats().established, 0u);
   EXPECT_EQ(h.stats().closed_shutdown, open_before);
   EXPECT_TRUE(h.stats().consistent());
-}
-
-// --- proxy failover -------------------------------------------------------
-
-proxy::Datagram make_dgram(uint16_t id) {
-  proxy::Datagram d;
-  d.src = Endpoint{IpAddr{Ip4{10, 0, 0, 1}}, 4000};
-  d.dst = Endpoint{IpAddr{Ip4{10, 0, 0, 2}}, 53};
-  d.payload = {static_cast<uint8_t>(id >> 8), static_cast<uint8_t>(id)};
-  return d;
-}
-
-TEST(Failover, MarksDownAfterThresholdBuffersAndDrains) {
-  proxy::FailoverConfig cfg;
-  cfg.primary = Endpoint{IpAddr{Ip4{10, 0, 0, 2}}, 53};
-  cfg.probe_interval = kSecond;
-  cfg.fail_threshold = 2;
-  cfg.backoff_base = kSecond;
-  cfg.backoff_cap = 4 * kSecond;
-  cfg.buffer_capacity = 8;
-
-  // Scripted outage: the backend is down in [3s, 10s).
-  auto probe = [](const Endpoint&, TimeNs now) {
-    return now < 3 * kSecond || now >= 10 * kSecond;
-  };
-  std::vector<std::pair<Endpoint, uint16_t>> sent;
-  proxy::FailoverForwarder fwd(cfg, probe, [&](const Endpoint& to, proxy::Datagram&& d) {
-    sent.emplace_back(to, static_cast<uint16_t>(d.payload[0] << 8 | d.payload[1]));
-  });
-
-  // One datagram per second on a synthetic clock.
-  for (uint16_t s = 1; s <= 14; ++s) fwd.forward(make_dgram(s), s * kSecond);
-
-  // Probes: t=1 ok, t=2 ok, t=3 fail (1), t=4 fail (2) -> down at t=4 with
-  // backoff 1s; re-probes t=5 fail (backoff 2s), t=7 fail (4s), t=11 ok ->
-  // failback, drain. Probes at t=12,13,14 succeed.
-  EXPECT_EQ(fwd.stats().failovers, 1u);
-  EXPECT_EQ(fwd.stats().failbacks, 1u);
-  EXPECT_EQ(fwd.stats().probe_failures, 4u);
-  // Buffered while down: t=4..10 queries (7 of them), minus none dropped
-  // (capacity 8); all drained to the primary at t=11.
-  EXPECT_EQ(fwd.stats().buffered, 7u);
-  EXPECT_EQ(fwd.stats().buffer_dropped, 0u);
-  EXPECT_EQ(fwd.stats().drained, 7u);
-  EXPECT_EQ(fwd.stats().forwarded_primary, 7u);  // t=1..3 and t=11..14
-  EXPECT_EQ(fwd.buffered_now(), 0u);
-  EXPECT_TRUE(fwd.primary_up());
-  // Drained datagrams arrive in arrival order, to the primary.
-  ASSERT_EQ(sent.size(), 14u);
-  for (const auto& [to, id] : sent) EXPECT_EQ(to.port, 53);
-}
-
-TEST(Failover, SecondaryTakesTrafficWhileDown) {
-  proxy::FailoverConfig cfg;
-  cfg.primary = Endpoint{IpAddr{Ip4{10, 0, 0, 2}}, 53};
-  cfg.secondary = Endpoint{IpAddr{Ip4{10, 0, 0, 3}}, 53};
-  cfg.fail_threshold = 1;
-  cfg.probe_interval = kSecond;
-  cfg.backoff_base = kSecond;
-
-  auto probe = [](const Endpoint&, TimeNs now) { return now >= 5 * kSecond; };
-  std::vector<Endpoint> dests;
-  proxy::FailoverForwarder fwd(cfg, probe, [&](const Endpoint& to, proxy::Datagram&&) {
-    dests.push_back(to);
-  });
-  for (uint16_t s = 1; s <= 8; ++s) fwd.forward(make_dgram(s), s * kSecond);
-
-  EXPECT_EQ(fwd.stats().failovers, 1u);
-  EXPECT_EQ(fwd.stats().failbacks, 1u);
-  EXPECT_GT(fwd.stats().forwarded_secondary, 0u);
-  EXPECT_EQ(fwd.stats().buffered, 0u);  // a secondary means no buffering
-  EXPECT_EQ(fwd.stats().forwarded_secondary + fwd.stats().forwarded_primary, 8u);
-}
-
-TEST(Failover, BufferDropsOldestAtCapacity) {
-  proxy::FailoverConfig cfg;
-  cfg.primary = Endpoint{IpAddr{Ip4{10, 0, 0, 2}}, 53};
-  cfg.fail_threshold = 1;
-  cfg.probe_interval = kSecond;
-  cfg.backoff_base = 64 * kSecond;  // stay down for the whole test
-  cfg.backoff_cap = 64 * kSecond;
-  cfg.buffer_capacity = 2;
-
-  auto probe = [](const Endpoint&, TimeNs) { return false; };
-  std::vector<uint16_t> ids;
-  proxy::FailoverForwarder fwd(cfg, probe, [&](const Endpoint&, proxy::Datagram&& d) {
-    ids.push_back(static_cast<uint16_t>(d.payload[0] << 8 | d.payload[1]));
-  });
-  for (uint16_t s = 1; s <= 5; ++s) fwd.forward(make_dgram(s), s * kSecond);
-
-  EXPECT_FALSE(fwd.primary_up());
-  EXPECT_EQ(fwd.stats().buffered, 5u);
-  EXPECT_EQ(fwd.stats().buffer_dropped, 3u);
-  EXPECT_EQ(fwd.buffered_now(), 2u);  // the two newest survive
-  EXPECT_TRUE(ids.empty());
-}
-
-TEST(Failover, SeededProbeStreamPinsExactStats) {
-  // Probe outcomes from a fixed-seed RNG: the whole failover history —
-  // transitions, buffering, drains — is a deterministic function of the
-  // seed, exactly like the fault layer's scenario regressions.
-  proxy::FailoverConfig cfg;
-  cfg.primary = Endpoint{IpAddr{Ip4{10, 0, 0, 2}}, 53};
-  cfg.probe_interval = kSecond;
-  cfg.fail_threshold = 2;
-  cfg.backoff_base = kSecond;
-  cfg.backoff_cap = 8 * kSecond;
-  cfg.buffer_capacity = 4;
-
-  Rng rng(42);
-  auto probe = [&](const Endpoint&, TimeNs) { return rng.uniform01() >= 0.5; };
-  uint64_t delivered = 0;
-  proxy::FailoverForwarder fwd(cfg, probe,
-                               [&](const Endpoint&, proxy::Datagram&&) { ++delivered; });
-  for (uint16_t s = 1; s <= 40; ++s) fwd.forward(make_dgram(s), s * kSecond);
-
-  const proxy::FailoverStats& st = fwd.stats();
-  // Conservation invariants: every datagram is delivered, buffered, or
-  // dropped-oldest — none vanish.
-  EXPECT_EQ(delivered, st.forwarded_primary + st.forwarded_secondary + st.drained);
-  EXPECT_EQ(st.forwarded_primary + st.buffered, 40u);
-  EXPECT_EQ(st.drained + st.buffer_dropped + fwd.buffered_now(), st.buffered);
-  // Committed regression values for seed 42 (recompute only if the probe
-  // schedule or Rng algorithm deliberately changes).
-  SCOPED_TRACE(st.summary());
-  EXPECT_EQ(st.probes, 26u);  // backoff while down skips due ticks
-  EXPECT_EQ(st.probe_failures, 14u);
-  EXPECT_EQ(st.failovers, 3u);
-  EXPECT_EQ(st.failbacks, 2u);  // still down when the clock stops
-  EXPECT_EQ(st.forwarded_primary, 17u);
-  EXPECT_EQ(st.buffered, 23u);
-  EXPECT_EQ(st.buffer_dropped, 12u);
-  EXPECT_EQ(st.drained, 7u);
 }
 
 // --- spec parsers ---------------------------------------------------------

@@ -1,7 +1,6 @@
-// Sharding regression suite (`ctest -L shard` / check_shard): the
-// ShardedMetaServer add_zone rollback fix, SO_REUSEPORT group binding,
-// multi-shard ShardedServer serving with merge-after-join books, and the
-// sharded querier pool — including the N=1 vs N=4 equivalence runs that
+// Sharding regression suite (`ctest -L shard` / check_shard): SO_REUSEPORT
+// group binding, multi-shard ShardedServer serving with merge-after-join
+// books, and the sharded querier pool — including the N=1 vs N=4 equivalence runs that
 // pin the tentpole claim: partitioning changes wall-clock parallelism,
 // never counters. Also the suite the tsan-shard preset runs under
 // ThreadSanitizer, so every cross-thread handoff in the shard layer gets
@@ -18,7 +17,6 @@
 #include "replay/checkpoint.hpp"
 #include "replay/engine.hpp"
 #include "server/background.hpp"
-#include "server/shard.hpp"
 #include "server/sharded_frontend.hpp"
 #include "synth/generator.hpp"
 #include "zone/parser.hpp"
@@ -28,24 +26,12 @@ namespace {
 
 using dns::Message;
 using dns::Name;
-using dns::Rcode;
 using dns::RRType;
 using trace::TraceRecord;
-
-zone::Zone parsed_zone(const std::string& origin) {
-  auto z = zone::parse_zone(
-      "$ORIGIN " + origin + "\n$TTL 3600\n"
-      "@ IN SOA ns1 admin 1 7200 900 1209600 300\n"
-      "@ IN NS ns1\nns1 IN A 192.0.2.1\nwww IN A 192.0.2.80\n");
-  EXPECT_TRUE(z.ok()) << (z.ok() ? "" : z.error().message);
-  return std::move(*z);
-}
 
 Message query_for(const std::string& qname, uint16_t id = 1) {
   return Message::make_query(id, *Name::parse(qname), RRType::A);
 }
-
-IpAddr addr_of(uint8_t last) { return IpAddr{Ip4{192, 0, 2, last}}; }
 
 server::AuthServer wildcard_server() {
   server::AuthServer s;
@@ -60,86 +46,6 @@ ns1 IN A 192.0.2.1
   EXPECT_TRUE(z.ok());
   EXPECT_TRUE(s.default_zones().add(std::move(*z)).ok());
   return s;
-}
-
-// --- satellite 1: add_zone atomicity --------------------------------------
-
-// The headline bugfix: a failed add_zone must leave no trace. Before the
-// fix, routes and match-clients entries for the new addresses were
-// installed before the fallible zones.add, so a duplicate-origin conflict
-// left a stale route (route() hit, answer() REFUSED — state corruption the
-// next add then built on).
-TEST(ShardedMetaRollback, FailedAddLeavesNoStaleState) {
-  server::ShardedMetaServer meta(2);
-  ASSERT_TRUE(meta.add_zone(parsed_zone("example.com."), {addr_of(1)}).ok());
-  auto loads_before = meta.zones_per_shard();
-
-  // Same origin on the same nameserver identity, bringing one new address:
-  // the identity's view already hosts example.com. -> must fail whole.
-  auto conflict = meta.add_zone(parsed_zone("example.com."),
-                                {addr_of(1), addr_of(2)});
-  ASSERT_FALSE(conflict.ok());
-
-  // No stale route for the new address, no load-count drift...
-  EXPECT_FALSE(meta.route(addr_of(2)).has_value());
-  EXPECT_EQ(meta.zones_per_shard(), loads_before);
-  // ...the original zone still answers via its route, and the would-be new
-  // address behaves like any unrouted client.
-  EXPECT_EQ(meta.answer(query_for("www.example.com"), addr_of(1)).header.rcode,
-            Rcode::NoError);
-  EXPECT_EQ(meta.answer(query_for("www.example.com"), addr_of(2)).header.rcode,
-            Rcode::Refused);
-}
-
-// A failed add with an entirely fresh identity must also remove the view it
-// created for the attempt (visible indirectly: the same identity can be
-// added again and lands cleanly).
-TEST(ShardedMetaRollback, FreshViewRemovedOnFailure) {
-  server::ShardedMetaServer meta(1);
-  ASSERT_TRUE(meta.add_zone(parsed_zone("example.com."), {addr_of(1)}).ok());
-  // Joining the identity with a duplicate origin fails...
-  ASSERT_FALSE(meta.add_zone(parsed_zone("example.com."), {addr_of(1)}).ok());
-  // ...and the books are clean enough that a real second zone still joins
-  // the identity and answers.
-  ASSERT_TRUE(meta.add_zone(parsed_zone("shop.example."), {addr_of(1)}).ok());
-  EXPECT_EQ(meta.answer(query_for("www.shop.example"), addr_of(1)).header.rcode,
-            Rcode::NoError);
-}
-
-// The view-reuse half of the fix: a second zone of the same nameserver
-// identity joins the existing view, so first-match-wins selection reaches
-// it (a fresh view with identical match-clients would be shadowed forever).
-TEST(ShardedMetaRollback, SecondZoneOfIdentityStaysReachable) {
-  server::ShardedMetaServer meta(3);
-  auto s1 = meta.add_zone(parsed_zone("example.com."), {addr_of(1)});
-  ASSERT_TRUE(s1.ok());
-  auto s2 = meta.add_zone(parsed_zone("example.net."), {addr_of(1)});
-  ASSERT_TRUE(s2.ok());
-  EXPECT_EQ(*s1, *s2);  // one identity, one shard
-  EXPECT_EQ(meta.answer(query_for("www.example.com"), addr_of(1)).header.rcode,
-            Rcode::NoError);
-  EXPECT_EQ(meta.answer(query_for("www.example.net"), addr_of(1)).header.rcode,
-            Rcode::NoError);
-}
-
-// Addresses bridging two distinct views on one shard would need a view
-// merge; add_zone refuses with no mutation instead.
-TEST(ShardedMetaRollback, ViewStraddleRejectedAtomically) {
-  server::ShardedMetaServer meta(1);
-  ASSERT_TRUE(meta.add_zone(parsed_zone("example.com."), {addr_of(1)}).ok());
-  ASSERT_TRUE(meta.add_zone(parsed_zone("example.net."), {addr_of(2)}).ok());
-  auto loads_before = meta.zones_per_shard();
-
-  auto bridged = meta.add_zone(parsed_zone("example.org."),
-                               {addr_of(1), addr_of(2), addr_of(3)});
-  ASSERT_FALSE(bridged.ok());
-  EXPECT_NE(bridged.error().message.find("straddle views"), std::string::npos);
-  EXPECT_FALSE(meta.route(addr_of(3)).has_value());
-  EXPECT_EQ(meta.zones_per_shard(), loads_before);
-  EXPECT_EQ(meta.answer(query_for("www.example.com"), addr_of(1)).header.rcode,
-            Rcode::NoError);
-  EXPECT_EQ(meta.answer(query_for("www.example.net"), addr_of(2)).header.rcode,
-            Rcode::NoError);
 }
 
 // --- SO_REUSEPORT group binding -------------------------------------------

@@ -170,6 +170,20 @@ TEST(Strings, ParseU64InRange) {
   EXPECT_FALSE(parse_u64_in("70000", 0, 65535).ok());
 }
 
+TEST(Strings, ParseNumberIsStrict) {
+  EXPECT_DOUBLE_EQ(*parse_number("0.25"), 0.25);
+  EXPECT_DOUBLE_EQ(*parse_number("0"), 0.0);
+  EXPECT_DOUBLE_EQ(*parse_number("12"), 12.0);
+  // strtod would read each of these as some number; a knob must not.
+  for (const char* bad : {"", "x", "0.5x", "1.2.3", "-1", "+1", ".5", " 1",
+                          "nan", "inf", "1e999"}) {
+    auto v = parse_number(bad);
+    ASSERT_FALSE(v.ok()) << bad;
+    EXPECT_NE(v.error().message.find("non-negative number"), std::string::npos)
+        << bad;
+  }
+}
+
 TEST(Strings, SecondsNsRoundTrip) {
   EXPECT_EQ(*parse_seconds_ns("1.5"), 1500000000);
   EXPECT_EQ(*parse_seconds_ns("0.000001"), 1000);

@@ -2,8 +2,9 @@
 //
 //   ldp-replay [options] <trace.pcap|trace.txt|trace.ldpb> <server-ip> <port>
 //
-// Integer values are strict: plain digits in range (<port> 1-65535);
-// anything else exits 2 with a "bad ..." line.
+// Numeric values are strict: integers are plain digits in range (<port>
+// 1-65535), decimals (S, F, MS) are positive and at most 1000000; anything
+// else exits 2 with a "bad ..." line. An unknown option exits 2 naming it.
 //
 //   --fast                 ignore trace timing, replay as fast as possible
 //   --distributors N       distribution fan-out (default 1, at most 1024)
@@ -11,12 +12,13 @@
 //   --shards N             run N source-partitioned worker pools on a
 //                          shared replay clock (multi-core replay; 1-64)
 //   --workers N            distributed mode: fork N ldp-worker processes (1-64),
-//                          barrier-synchronize their start, supervise and
-//                          respawn crashed workers from their checkpoints
+//                          barrier-synchronize their start, and kill and
+//                          respawn crashed or wedged workers from their
+//                          checkpoints (the process is the failure domain)
 //   --worker-bin PATH      ldp-worker executable (default: next to ldp-replay)
 //   --respawn N            respawns per worker before the controller takes
 //                          the slice over in-process (default 2, at most 100)
-//   --kill-worker I        test knob: SIGKILL worker I once mid-replay
+//   --kill-worker I        test knob: SIGKILL worker I (0-63) once mid-replay
 //   --kill-after S         seconds past the barrier start for --kill-worker
 //   --transport udp|tcp|tls  override every query's transport (§5.2 what-if)
 //   --dnssec               set the DO bit on every query (§5.1 what-if)
@@ -30,8 +32,6 @@
 //                          starting over (counters carry across the kill)
 //   --overload block|drop-oldest|clamp  full-queue policy (default block)
 //   --shed-grace MS        how long a push waits before shedding (default 5)
-//   --no-supervise         disable the heartbeat supervisor
-//   --heartbeat-timeout S  declare a querier dead after S stale seconds
 //
 // Prints every EngineReport counter as "<name>: <value>" (names from the
 // counter table, e.g. lifecycle.timeouts), then the derived lines: answered
@@ -74,7 +74,6 @@ void usage(const char* argv0) {
                "          [--scale F] [--fault SPEC]\n"
                "          [--checkpoint FILE [--checkpoint-interval S] [--resume]]\n"
                "          [--overload block|drop-oldest|clamp] [--shed-grace MS]\n"
-               "          [--no-supervise] [--heartbeat-timeout S]\n"
                "          <trace.{pcap,txt,ldpb}> <server-ip> <port>\n",
                argv0);
 }
@@ -109,6 +108,21 @@ int main(int argc, char** argv) {
       }
       return *v;
     };
+    // Strict decimal value for `opt` in (0, 1e6]; a bad one exits 2.
+    auto need_positive = [&]() {
+      const char* text = need_value();
+      auto v = parse_number(text);
+      if (!v.ok()) {
+        std::fprintf(stderr, "bad %s: %s\n", opt.c_str(), v.error().message.c_str());
+        std::exit(2);
+      }
+      if (*v <= 0 || *v > 1e6) {
+        std::fprintf(stderr, "bad %s: must be positive and at most 1000000, got %s\n",
+                     opt.c_str(), text);
+        std::exit(2);
+      }
+      return *v;
+    };
     if (opt == "--fast") {
       cfg.timed = false;
     } else if (opt == "--distributors") {
@@ -124,10 +138,9 @@ int main(int argc, char** argv) {
     } else if (opt == "--respawn") {
       dist.respawn_budget = static_cast<uint32_t>(need_int(0, 100));
     } else if (opt == "--kill-worker") {
-      dist.kill_worker = std::strtol(need_value(), nullptr, 10);
+      dist.kill_worker = static_cast<int64_t>(need_int(0, 63));
     } else if (opt == "--kill-after") {
-      dist.kill_after =
-          static_cast<TimeNs>(std::strtod(need_value(), nullptr) * kSecond);
+      dist.kill_after = static_cast<TimeNs>(need_positive() * kSecond);
     } else if (opt == "--transport") {
       auto t = transport_from_string(need_value());
       if (!t.ok()) {
@@ -143,7 +156,7 @@ int main(int argc, char** argv) {
       mutator.prefix_qnames(need_value());
       has_mutations = true;
     } else if (opt == "--scale") {
-      mutator.scale_time(std::strtod(need_value(), nullptr));
+      mutator.scale_time(need_positive());
       has_mutations = true;
     } else if (opt == "--fault") {
       fault_spec_raw = need_value();
@@ -156,8 +169,7 @@ int main(int argc, char** argv) {
     } else if (opt == "--checkpoint") {
       cfg.checkpoint_path = need_value();
     } else if (opt == "--checkpoint-interval") {
-      cfg.checkpoint_interval =
-          static_cast<TimeNs>(std::strtod(need_value(), nullptr) * kSecond);
+      cfg.checkpoint_interval = static_cast<TimeNs>(need_positive() * kSecond);
     } else if (opt == "--resume") {
       resume = true;
     } else if (opt == "--overload") {
@@ -173,14 +185,9 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (opt == "--shed-grace") {
-      cfg.shed_grace =
-          static_cast<TimeNs>(std::strtod(need_value(), nullptr) * kMilli);
-    } else if (opt == "--no-supervise") {
-      cfg.supervise = false;
-    } else if (opt == "--heartbeat-timeout") {
-      cfg.heartbeat_timeout =
-          static_cast<TimeNs>(std::strtod(need_value(), nullptr) * kSecond);
+      cfg.shed_grace = static_cast<TimeNs>(need_positive() * kMilli);
     } else {
+      std::fprintf(stderr, "unknown option '%s'\n", opt.c_str());
       usage(argv[0]);
       return 2;
     }
