@@ -89,7 +89,6 @@ int main(int argc, char** argv) {
     cfg.worker_bin = LDP_WORKER_BIN;
     cfg.trace_path = trace_path;
     cfg.server = (*bg)->endpoint();
-    cfg.distributors = 1;
     cfg.queriers_per_distributor = 2;
     cfg.heartbeat_interval = 100 * kMilli;
     cfg.checkpoint_interval = 250 * kMilli;
@@ -111,7 +110,6 @@ int main(int argc, char** argv) {
   // In-process baseline: the bound distributed replay has to stay within.
   replay::EngineConfig base_cfg;
   base_cfg.server = (*bg)->endpoint();
-  base_cfg.distributors = 1;
   base_cfg.queriers_per_distributor = 2;
   auto base = replay::QueryEngine(base_cfg).replay(trace);
   if (!base.ok()) {

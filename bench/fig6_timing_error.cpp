@@ -1,7 +1,7 @@
 // Figure 6: query timing difference between replayed and original traces.
 //
 // Replays each trace over UDP on loopback in real time through the full
-// Controller → Distributor → Querier pipeline and reports, per trace, the
+// Controller → Querier pipeline and reports, per trace, the
 // distribution of (actual send offset − trace offset): quartiles, min, max.
 // The paper's quartiles sit within ±2.5 ms (±8 ms for the 0.1 s
 // inter-arrival case); on shared single-core hardware expect the same

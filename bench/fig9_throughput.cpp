@@ -70,7 +70,6 @@ PhaseResult run_phase(const std::vector<trace::TraceRecord>& batch,
     replay::EngineConfig cfg;
     cfg.server = (*bg)->endpoint();
     cfg.timed = false;
-    cfg.distributors = 1;
     cfg.queriers_per_distributor = 2;
     cfg.drain_grace = 100 * kMilli;
     replay::QueryEngine engine(cfg);
@@ -123,9 +122,9 @@ PhaseResult run_phase(const std::vector<trace::TraceRecord>& batch,
   return out;
 }
 
-// Core-sweep phase: N SO_REUSEPORT server shards + an N-way sharded querier
-// pool, both on the batched defaults. Measures the end-to-end answered rate
-// the sharded pipeline sustains. On a multi-core host the answered rate
+// Core-sweep phase: N SO_REUSEPORT server shards + 2N querier threads (the
+// source split spreads the trace over them), both on the batched defaults.
+// Measures the end-to-end answered rate the pipeline sustains. On a multi-core host the answered rate
 // should scale with N until cores run out; on a 1-core host (like the
 // recorded run — see EXPERIMENTS.md) the sweep measures sharding overhead
 // instead, which is the honest number for this box.
@@ -143,9 +142,7 @@ PhaseResult run_shard_phase(size_t shards, const std::vector<trace::TraceRecord>
     replay::EngineConfig cfg;
     cfg.server = (*srv)->endpoint();
     cfg.timed = false;
-    cfg.distributors = 1;
-    cfg.queriers_per_distributor = 2;
-    cfg.shards = shards;
+    cfg.queriers_per_distributor = 2 * shards;
     cfg.drain_grace = 100 * kMilli;
     replay::QueryEngine engine(cfg);
     auto report = engine.replay(batch);
@@ -176,14 +173,13 @@ PhaseResult run_shard_phase(size_t shards, const std::vector<trace::TraceRecord>
   return out;
 }
 
-// One-shard equivalence: under a fixed-seed fault and no retransmits, the
-// ShardedServer(1) + shards=1 engine must reproduce the single-loop path's
-// send-side counters exactly (the shards==1 code path is byte-identical and
-// the fault-draw schedule is a function of the seed alone).
+// One-shard equivalence: under a fixed-seed fault and no retransmits, a
+// one-querier engine against ShardedServer(1) must reproduce its send-side
+// counters against the single-loop server exactly (the fault-draw schedule
+// is a function of the seed alone).
 bool one_shard_counters_match(const std::vector<trace::TraceRecord>& batch) {
   replay::EngineConfig cfg;
   cfg.timed = false;
-  cfg.distributors = 1;
   cfg.queriers_per_distributor = 1;
   cfg.max_retries = 0;  // retransmits would consume extra fault draws
   cfg.drain_grace = 200 * kMilli;
@@ -193,7 +189,6 @@ bool one_shard_counters_match(const std::vector<trace::TraceRecord>& batch) {
   auto bg = server::BackgroundServer::start(bench::root_wildcard_server(), fc);
   if (!bg.ok()) return false;
   cfg.server = (*bg)->endpoint();
-  cfg.shards = 1;
   auto plain = replay::QueryEngine(cfg).replay(batch);
   (*bg)->stop();
   if (!plain.ok()) return false;
@@ -263,8 +258,8 @@ int main(int argc, char** argv) {
 
   PhaseResult batched = run_phase(batch, query_bytes, 8 * kSecond);
 
-  // Core sweep: 1/2/4 SO_REUSEPORT shards, engine shard count matched.
-  std::printf("\n  shard sweep (SO_REUSEPORT serving + sharded querier pool):\n");
+  // Core sweep: 1/2/4 SO_REUSEPORT shards, two querier threads per shard.
+  std::printf("\n  shard sweep (SO_REUSEPORT serving + 2 queriers per shard):\n");
   const size_t kShardCounts[] = {1, 2, 4};
   PhaseResult shard_phases[3];
   for (size_t i = 0; i < 3; ++i)

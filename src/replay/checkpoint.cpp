@@ -214,26 +214,4 @@ Result<CheckpointState> load_checkpoint(const std::string& path) {
   return st;
 }
 
-std::string shard_checkpoint_path(const std::string& path, size_t shard) {
-  return path + ".shard" + std::to_string(shard);
-}
-
-Result<std::vector<CheckpointState>> load_sharded_checkpoints(
-    const std::string& path, size_t shards) {
-  std::vector<CheckpointState> out(shards);
-  size_t found = 0;
-  for (size_t i = 0; i < shards; ++i) {
-    std::string p = shard_checkpoint_path(path, i);
-    std::ifstream probe(p);
-    if (!probe) continue;  // shard died before its first snapshot
-    probe.close();
-    out[i] = LDP_TRY(load_checkpoint(p));
-    ++found;
-  }
-  if (found == 0)
-    return Err("no shard checkpoints found at " + shard_checkpoint_path(path, 0) +
-               " (wrong --shards count, or the run died before any snapshot?)");
-  return out;
-}
-
 }  // namespace ldp::replay

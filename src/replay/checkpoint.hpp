@@ -7,7 +7,9 @@
 //
 // The cut is per-querier consistent: each querier publishes its own
 // snapshot atomically, so a source's sent-count, stream position and
-// pending list always agree with each other. Queries sent after the last
+// pending list always agree with each other. The engine gathers every
+// querier's snapshot into one state, keyed by source and stream name and
+// never by querier, so it resumes at any querier count. Queries sent after the last
 // snapshot but before the kill are re-sent exactly once on resume (their
 // sent-counts weren't recorded), so queries_sent totals stay exact; the
 // probability-driven impairment counters are draw-order independent, and
@@ -104,18 +106,5 @@ Result<void> save_checkpoint(const std::string& path,
                              const CheckpointState& state);
 
 Result<CheckpointState> load_checkpoint(const std::string& path);
-
-/// Per-shard snapshot naming for sharded runs: `<path>.shard<N>`. Each shard
-/// engine checkpoints its own slice; resume loads all of them back.
-std::string shard_checkpoint_path(const std::string& path, size_t shard);
-
-/// Load `<path>.shard0` … `<path>.shard<N-1>` for a `--shards N` resume.
-/// A missing shard file means the run died before that shard's first
-/// snapshot: its slot comes back default-constructed (trace_hash 0) and the
-/// engine replays that slice from the start — the same "everything after the
-/// last snapshot is re-sent exactly once" contract as the single-shard path.
-/// At least one shard file must exist, otherwise there is nothing to resume.
-Result<std::vector<CheckpointState>> load_sharded_checkpoints(
-    const std::string& path, size_t shards);
 
 }  // namespace ldp::replay

@@ -249,7 +249,6 @@ struct Controller {
       assign.count = slots.size();
       assign.server = cfg.server;
       assign.timed = cfg.timed;
-      assign.distributors = cfg.distributors;
       assign.queriers = cfg.queriers_per_distributor;
       assign.heartbeat_interval = cfg.heartbeat_interval;
       assign.checkpoint_interval = cfg.checkpoint_interval;
@@ -496,7 +495,6 @@ struct Controller {
       EngineConfig ec;
       ec.server = cfg.server;
       ec.timed = cfg.timed;
-      ec.distributors = cfg.distributors;
       ec.queriers_per_distributor = cfg.queriers_per_distributor;
       ec.checkpoint_interval = cfg.checkpoint_interval;
       if (!cfg.fault_spec.empty()) {

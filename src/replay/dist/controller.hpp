@@ -41,7 +41,8 @@ struct DistConfig {
   std::string trace_path;  ///< trace file every worker loads and slices
   Endpoint server;
   bool timed = true;
-  size_t distributors = 1;
+  /// Querier threads in each worker's engine (EngineConfig's field of the
+  /// same name): each worker process is one of the paper's distributors.
   size_t queriers_per_distributor = 2;
   std::string fault_spec;  ///< forwarded to workers verbatim ("" = clean)
   TimeNs heartbeat_interval = 250 * kMilli;

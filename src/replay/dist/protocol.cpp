@@ -37,19 +37,13 @@ Result<void> send_frame(int fd, FrameType type, std::string_view payload) {
   if (payload.size() > kMaxFramePayload)
     return Err("control frame payload too large");
   uint32_t len = static_cast<uint32_t>(payload.size() + 1);
-  uint8_t header[5] = {static_cast<uint8_t>(len >> 24),
-                       static_cast<uint8_t>(len >> 16),
-                       static_cast<uint8_t>(len >> 8),
-                       static_cast<uint8_t>(len),
-                       static_cast<uint8_t>(type)};
-  LDP_TRY_VOID(net::write_full(fd, std::span<const uint8_t>(header, 5)));
-  if (!payload.empty()) {
-    LDP_TRY_VOID(net::write_full(
-        fd, std::span<const uint8_t>(
-                reinterpret_cast<const uint8_t*>(payload.data()),
-                payload.size())));
-  }
-  return Ok();
+  std::vector<uint8_t> frame = {static_cast<uint8_t>(len >> 24),
+                                static_cast<uint8_t>(len >> 16),
+                                static_cast<uint8_t>(len >> 8),
+                                static_cast<uint8_t>(len),
+                                static_cast<uint8_t>(type)};
+  frame.insert(frame.end(), payload.begin(), payload.end());
+  return net::write_full(fd, frame);
 }
 
 Result<std::optional<Frame>> recv_frame(int fd) {
@@ -125,7 +119,6 @@ std::string encode_assign(const AssignMsg& m) {
      << "count " << m.count << "\n"
      << "server " << m.server.addr.to_string() << " " << m.server.port << "\n"
      << "timed " << (m.timed ? 1 : 0) << "\n"
-     << "distributors " << m.distributors << "\n"
      << "queriers " << m.queriers << "\n"
      << "heartbeat " << m.heartbeat_interval << "\n"
      << "checkpoint-interval " << m.checkpoint_interval << "\n";
@@ -158,8 +151,6 @@ Result<AssignMsg> parse_assign(const std::string& payload) {
       int v = 0;
       ls >> v;
       m.timed = v != 0;
-    } else if (key == "distributors") {
-      ls >> m.distributors;
     } else if (key == "queriers") {
       ls >> m.queriers;
     } else if (key == "heartbeat") {
@@ -183,6 +174,7 @@ Result<AssignMsg> parse_assign(const std::string& payload) {
   }
   if (m.count == 0 || m.index >= m.count)
     return Err("ASSIGN: index/count out of range");
+  if (m.queriers == 0) return Err("ASSIGN: queriers must be at least 1");
   return m;
 }
 

@@ -31,9 +31,10 @@
 
 namespace ldp::replay::dist {
 
-/// Bumped whenever a frame's fields change (2: ASSIGN lost `batched`), so a
-/// mismatched worker is refused at HELLO instead of misparsing ASSIGN.
-inline constexpr uint32_t kProtocolVersion = 2;
+/// Bumped whenever a frame's fields change (2: ASSIGN lost `batched`;
+/// 3: ASSIGN lost `distributors`), so a mismatched worker is refused at
+/// HELLO instead of misparsing ASSIGN.
+inline constexpr uint32_t kProtocolVersion = 3;
 /// Upper bound on one frame's payload — a whole checkpoint or report rides
 /// in one frame, but a corrupt length prefix must not allocate the moon.
 inline constexpr size_t kMaxFramePayload = 64u << 20;
@@ -57,8 +58,9 @@ struct Frame {
 };
 
 /// Blocking, EINTR-safe, SIGPIPE-safe frame I/O (net::write_full /
-/// net::read_full underneath). recv returns nullopt on a clean EOF at a
-/// frame boundary.
+/// net::read_full underneath). send writes the whole frame in one
+/// write_full, so the header never waits on Nagle and a delayed ACK for
+/// the payload. recv returns nullopt on a clean EOF at a frame boundary.
 Result<void> send_frame(int fd, FrameType type, std::string_view payload);
 Result<std::optional<Frame>> recv_frame(int fd);
 
@@ -99,8 +101,7 @@ struct AssignMsg {
   size_t count = 1;
   Endpoint server;
   bool timed = true;
-  size_t distributors = 1;
-  size_t queriers = 2;
+  size_t queriers = 2;  ///< querier threads in the worker's engine (>= 1)
   TimeNs heartbeat_interval = 250 * kMilli;
   TimeNs checkpoint_interval = kSecond;
   std::string fault_spec;  ///< empty = clean link

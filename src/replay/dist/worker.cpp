@@ -158,7 +158,6 @@ int run_worker(const WorkerOptions& opts) {
   EngineConfig cfg;
   cfg.server = assign->server;
   cfg.timed = assign->timed;
-  cfg.distributors = assign->distributors;
   cfg.queriers_per_distributor = assign->queriers;
   cfg.checkpoint_interval = assign->checkpoint_interval;
   if (!assign->fault_spec.empty()) {

@@ -49,11 +49,10 @@ void EngineReport::merge_from(EngineReport&& other) {
 std::vector<std::vector<TraceRecord>> partition_by_source(
     const std::vector<TraceRecord>& trace, size_t n) {
   std::vector<std::vector<TraceRecord>> slices(n);
-  std::unordered_map<IpAddr, size_t, IpAddrHash> source_to_slice;
+  SourceSplit split(n);
   for (const auto& rec : trace) {
     if (rec.direction != trace::Direction::Query) continue;
-    auto it = source_to_slice.emplace(rec.src.addr, source_to_slice.size() % n).first;
-    slices[it->second].push_back(rec);
+    slices[split.slot_for(rec.src.addr)].push_back(rec);
   }
   return slices;
 }
@@ -225,8 +224,8 @@ class QueryEngine::Querier {
   /// Per-source fault stream, created on first use; nullptr when the
   /// engine runs without an impairment scenario. The name is derived from
   /// the *original trace source*, not the querier, so the pattern a source
-  /// sees is partition-independent (shard and worker equivalence). On
-  /// resume the stream fast-forwards to its checkpointed draw position.
+  /// sees is partition-independent (querier-count and worker equivalence).
+  /// On resume the stream fast-forwards to its checkpointed draw position.
   fault::FaultStream* fault_stream(const char* prefix, const IpAddr& source) {
     if (!config_.fault.has_value()) return nullptr;
     std::string name = std::string(prefix) + source.to_string();
@@ -1008,119 +1007,13 @@ class QueryEngine::Querier {
 };
 
 // ---------------------------------------------------------------------------
-// Distributor: fans records out to its queriers, same-source sticky, and
-// folds their reports (counters, histograms, send records) into one on
-// collect so the controller merges per-distributor, not per-querier.
-//
-// This is where overload shedding applies: a full querier queue either
-// back-pressures (Block), evicts the oldest record with accounting
-// (DropOldest), or blocks with the stall time surfaced (ClampRate) so the
-// operator sees what the clock distortion cost.
-// ---------------------------------------------------------------------------
-class QueryEngine::Distributor {
- public:
-  Distributor(uint32_t first_querier_id, size_t querier_count,
-              const EngineConfig& config, const ReplayClock& clock)
-      : config_(config), queue_(config.queue_capacity) {
-    for (size_t i = 0; i < querier_count; ++i) {
-      queriers_.push_back(std::make_unique<Querier>(
-          first_querier_id + static_cast<uint32_t>(i), config, clock));
-    }
-    thread_ = std::thread([this] { run(); });
-  }
-
-  ~Distributor() {
-    if (thread_.joinable()) thread_.join();
-  }
-
-  /// Controller thread: overload policy applies here too, so a saturated
-  /// distributor sheds instead of silently stretching the replay clock.
-  void submit(TraceRecord rec) { push(queue_, rec); }
-
-  void finish() { queue_.close(); }
-
-  /// Resume path (controller thread, before dispatch): route a restored
-  /// in-flight query to the querier that owns its source.
-  bool adopt_restored(PendingQuery pq) {
-    return queriers_[querier_for(pq.source)]->adopt(std::move(pq));
-  }
-
-  /// Fold the queriers' latest published snapshots (and this distributor's
-  /// shedding ledger) into a checkpoint cut. Ticker thread, or controller
-  /// thread (final checkpoint, after joins).
-  void gather(CheckpointState& state) {
-    for (auto& q : queriers_) {
-      QuerierSnapshot s = q->snapshot();
-      if (!s.valid) continue;
-      state.partial.merge_from(std::move(s.partial));
-      for (auto& cp : s.pending) state.pending.push_back(std::move(cp));
-      for (auto& [name, pos] : s.streams) state.streams[name] = pos;
-      for (auto& [ip, n] : s.sent) state.sent[ip] = n;
-    }
-    state.partial.merge_from(own_report());
-  }
-
-  EngineReport collect() {
-    if (thread_.joinable()) thread_.join();
-    EngineReport merged;
-    for (auto& q : queriers_) merged.merge_from(q->take_report());
-    merged.merge_from(own_report());
-    return merged;
-  }
-
- private:
-  /// This distributor's own books — overload shedding, ClampRate stalls and
-  /// queue depth — as one report that merges like a querier's.
-  EngineReport own_report() const {
-    EngineReport own;
-    own.shed_queries = overload_.shed.load(std::memory_order_relaxed);
-    own.clamp_stall_ns = overload_.clamp_stall_ns.load(std::memory_order_relaxed);
-    own.queue_hwm = queue_.high_water();
-    for (const auto& q : queriers_)
-      own.queue_hwm = std::max<uint64_t>(own.queue_hwm, q->queue_high_water());
-    return own;
-  }
-
-  /// Push under the configured overload policy. A push onto a closed queue
-  /// (never expected: queues close only after the last push) is shed with
-  /// accounting rather than lost.
-  bool push(BoundedQueue<TraceRecord>& q, TraceRecord& rec) {
-    if (push_with_policy(q, rec, config_.overload, config_.shed_grace,
-                         overload_) == PushResult::Ok)
-      return true;
-    overload_.shed.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-
-  /// Sticky querier for a source, round-robin on first sight. The resume
-  /// path calls this on the controller thread before any record is
-  /// submitted; routing calls it on this distributor's thread after — the
-  /// input queue orders the two.
-  size_t querier_for(const IpAddr& source) {
-    auto [it, fresh] = source_to_querier_.emplace(source, next_);
-    if (fresh) next_ = (next_ + 1) % queriers_.size();
-    return it->second;
-  }
-
-  void run() {
-    while (auto rec = queue_.pop()) {
-      Querier& q = *queriers_[querier_for(rec->src.addr)];
-      if (push(q.queue(), *rec)) q.wake();
-    }
-    for (auto& q : queriers_) q->finish();
-  }
-
-  const EngineConfig& config_;
-  BoundedQueue<TraceRecord> queue_;
-  std::vector<std::unique_ptr<Querier>> queriers_;
-  std::unordered_map<IpAddr, size_t, IpAddrHash> source_to_querier_;
-  size_t next_ = 0;
-  OverloadLedger overload_;
-  std::thread thread_;
-};
-
-// ---------------------------------------------------------------------------
-// QueryEngine: the controller (Reader + Postman).
+// QueryEngine: the controller (Reader + Postman). It applies the live
+// mutator and the resume skip on its own thread, then pushes each record
+// straight onto its querier's queue, same-source sticky (SourceSplit): one
+// queue hop per query. Overload shedding applies at that hop: a full
+// querier queue either back-pressures (Block), evicts the oldest record
+// with accounting (DropOldest), or blocks with the stall time surfaced
+// (ClampRate), all booked in the controller's one OverloadLedger.
 // ---------------------------------------------------------------------------
 QueryEngine::QueryEngine(EngineConfig config) : config_(std::move(config)) {}
 QueryEngine::~QueryEngine() = default;
@@ -1128,19 +1021,17 @@ QueryEngine::~QueryEngine() = default;
 Result<EngineReport> QueryEngine::replay(const std::vector<TraceRecord>& trace,
                                          const ReplayClock* shared_clock) {
   if (trace.empty()) return Err("empty trace");
-  if (config_.distributors == 0 || config_.queriers_per_distributor == 0)
-    return Err("need at least one distributor and querier");
+  if (config_.distributors != 1 || config_.shards != 1)
+    return Err("distributors and shards must be 1: the process is the "
+               "distributor; set queriers_per_distributor for more querier "
+               "threads");
+  if (config_.queriers_per_distributor == 0)
+    return Err("need at least one querier (queriers_per_distributor)");
   if (shared_clock != nullptr && !shared_clock->started())
     return Err("shared clock not started");
   // A zero interval would re-arm the snapshot timer at `now` forever.
   if (config_.checkpointing() && config_.checkpoint_interval <= 0)
     return Err("checkpoint interval must be positive");
-  if (config_.shards > 1) return replay_sharded(trace, shared_clock);
-
-  if (config_.resume != nullptr && config_.resume_shards != nullptr)
-    return Err("resume and resume_shards are mutually exclusive");
-  if (config_.resume_shards != nullptr)
-    return Err("resume_shards requires shards > 1 (use resume)");
 
   const CheckpointState* resume = config_.resume;
   const bool checkpointing = config_.checkpointing();
@@ -1167,11 +1058,11 @@ Result<EngineReport> QueryEngine::replay(const std::vector<TraceRecord>& trace,
   }
 
   // Time synchronization broadcast (§2.6): latch t̄₁ from the first query
-  // and t₁ slightly in the future so worker startup cost doesn't make the
+  // and t₁ slightly in the future so querier startup cost doesn't make the
   // first queries late. On resume, re-anchor at the first record the
   // checkpoint hasn't sent, so the remaining schedule plays at original
   // pace instead of sprinting through the already-replayed prefix. A
-  // shared clock (sharded replay) overrides.
+  // shared clock (a worker fleet's barrier start) overrides.
   TimeNs anchor_ts = trace.front().timestamp;
   if (resume != nullptr) {
     auto remaining = skip;
@@ -1196,23 +1087,26 @@ Result<EngineReport> QueryEngine::replay(const std::vector<TraceRecord>& trace,
   std::vector<SendRecord> adopted_records;
   adopted_records.reserve(resume != nullptr ? resume->pending.size() : 0);
 
-  std::vector<std::unique_ptr<Distributor>> distributors;
-  for (size_t i = 0; i < config_.distributors; ++i) {
-    distributors.push_back(std::make_unique<Distributor>(
-        static_cast<uint32_t>(i * config_.queriers_per_distributor),
-        config_.queriers_per_distributor, config_, clock));
-  }
-
-  auto distributor_for = [&](const IpAddr& source) {
-    auto it = source_to_distributor_.find(source);
-    if (it != source_to_distributor_.end()) return it->second;
-    size_t idx = next_distributor_++ % distributors.size();
-    source_to_distributor_.emplace(source, idx);
-    return idx;
-  };
-
+  std::vector<std::unique_ptr<Querier>> queriers;
+  for (size_t i = 0; i < config_.queriers_per_distributor; ++i)
+    queriers.push_back(
+        std::make_unique<Querier>(static_cast<uint32_t>(i), config_, clock));
+  SourceSplit split(queriers.size());
+  OverloadLedger overload;
   std::atomic<uint64_t> mutator_dropped{0};
 
+  // The controller's own books — overload shedding, ClampRate stalls and
+  // the deepest querier queue — as one report that merges like a querier's.
+  auto own_report = [&] {
+    EngineReport own;
+    own.shed_queries = overload.shed.load(std::memory_order_relaxed);
+    own.clamp_stall_ns = overload.clamp_stall_ns.load(std::memory_order_relaxed);
+    for (const auto& q : queriers)
+      own.queue_hwm = std::max<uint64_t>(own.queue_hwm, q->queue_high_water());
+    return own;
+  };
+  // One checkpoint cut from every querier's latest published snapshot.
+  // Ticker thread, or this thread (final checkpoint, after the joins).
   auto gather_state = [&] {
     CheckpointState st;
     st.trace_hash = fingerprint;
@@ -1226,7 +1120,15 @@ Result<EngineReport> QueryEngine::replay(const std::vector<TraceRecord>& trace,
     }
     st.partial.mutator_dropped +=
         mutator_dropped.load(std::memory_order_relaxed);
-    for (auto& d : distributors) d->gather(st);
+    for (auto& q : queriers) {
+      QuerierSnapshot s = q->snapshot();
+      if (!s.valid) continue;
+      st.partial.merge_from(std::move(s.partial));
+      for (auto& cp : s.pending) st.pending.push_back(std::move(cp));
+      for (auto& [name, pos] : s.streams) st.streams[name] = pos;
+      for (auto& [ip, n] : s.sent) st.sent[ip] = n;
+    }
+    st.partial.merge_from(own_report());
     return st;
   };
   auto checkpoint = [&] {
@@ -1262,17 +1164,17 @@ Result<EngineReport> QueryEngine::replay(const std::vector<TraceRecord>& trace,
       pq.source = cp.record.source;
       pq.extern_rec = &rec;
       pq.payload = cp.payload;
-      size_t idx = distributor_for(pq.source);
-      if (!distributors[idx]->adopt_restored(std::move(pq))) {
+      if (!queriers[split.slot_for(pq.source)]->adopt(std::move(pq))) {
         rec.outcome = QueryOutcome::Errored;
         ++restore_failures;
       }
     }
   }
 
-  // The Postman: dispatch records, same-source sticky across distributors,
-  // mutating live when configured, skipping what the checkpoint already
-  // replayed.
+  // The Postman: dispatch records to their queriers, mutating live when
+  // configured, skipping what the checkpoint already replayed. A push onto
+  // a closed queue (never expected: queues close only after the last push)
+  // is shed with accounting rather than lost.
   for (const auto& rec : trace) {
     if (rec.direction != trace::Direction::Query) continue;
     auto sk = skip.find(rec.src.addr);
@@ -1290,15 +1192,20 @@ Result<EngineReport> QueryEngine::replay(const std::vector<TraceRecord>& trace,
       --sk->second;
       continue;
     }
-    size_t idx = distributor_for(record.src.addr);
-    distributors[idx]->submit(std::move(record));
+    Querier& q = *queriers[split.slot_for(record.src.addr)];
+    if (push_with_policy(q.queue(), record, config_.overload,
+                         config_.shed_grace, overload) == PushResult::Ok)
+      q.wake();
+    else
+      overload.shed.fetch_add(1, std::memory_order_relaxed);
   }
-  for (auto& d : distributors) d->finish();
+  for (auto& q : queriers) q->finish();
 
   EngineReport merged;
   merged.mutator_dropped = mutator_dropped.load(std::memory_order_relaxed);
   merged.replay_start = clock.real_origin();
-  for (auto& d : distributors) merged.merge_from(d->collect());
+  for (auto& q : queriers) merged.merge_from(q->take_report());
+  merged.merge_from(own_report());
   // Stop the ticker before the final checkpoint so the two never write the
   // file at once.
   ticker.stop();
@@ -1322,124 +1229,6 @@ Result<EngineReport> QueryEngine::replay(const std::vector<TraceRecord>& trace,
   // Final quiescent checkpoint: a completed replay's file resumes into a
   // no-op (and the kill-and-resume smoke path reads its counters).
   if (checkpointing) checkpoint();
-
-  distributors.clear();
-  source_to_distributor_.clear();
-  next_distributor_ = 0;
-  return merged;
-}
-
-Result<EngineReport> QueryEngine::replay_sharded(
-    const std::vector<TraceRecord>& trace, const ReplayClock* shared_clock) {
-  // Checkpoints shard alongside the queriers: each shard engine snapshots
-  // its own slice to `<path>.shard<N>` and resumes from its own state, so
-  // the single-shard consistency argument holds per slice. Whole-trace
-  // resume state is carried per shard (resume_shards), never as one file.
-  if (config_.resume != nullptr)
-    return Err("sharded resume takes per-shard states (resume_shards), not a single checkpoint");
-  if (config_.resume_shards != nullptr &&
-      config_.resume_shards->size() != config_.shards)
-    return Err("resume_shards size does not match the shard count");
-  if (config_.checkpoint_sink)
-    return Err("checkpoint_sink is incompatible with shards > 1");
-
-  // The live mutator is applied here, on the one controller thread, before
-  // partitioning — exactly the single-shard Postman order — so stateful
-  // user closures never see concurrent calls and drop accounting stays
-  // centralized.
-  std::vector<TraceRecord> mutated;
-  uint64_t mutator_dropped = 0;
-  if (config_.live_mutator != nullptr) {
-    for (const auto& rec : trace) {
-      if (rec.direction != trace::Direction::Query) continue;
-      TraceRecord record = rec;
-      auto verdict = config_.live_mutator->apply(record);
-      if (!verdict.ok() || *verdict == mutate::Verdict::Drop) {
-        ++mutator_dropped;
-        continue;
-      }
-      mutated.push_back(std::move(record));
-    }
-  }
-  auto slices = partition_by_source(
-      config_.live_mutator != nullptr ? mutated : trace, config_.shards);
-
-  // One synchronization point for every shard (t̄₁ from the whole trace),
-  // so the merged send schedule matches an unsharded replay. A sharded
-  // resume re-anchors at the globally earliest record no shard has sent —
-  // the shared clock overrides the sub-engines' own re-anchoring, so the
-  // fast-forward has to happen here.
-  TimeNs anchor_ts = trace.front().timestamp;
-  if (config_.resume_shards != nullptr) {
-    bool found = false;
-    for (size_t i = 0; i < config_.shards; ++i) {
-      const CheckpointState& st = (*config_.resume_shards)[i];
-      std::unordered_map<IpAddr, uint64_t, IpAddrHash> remaining;
-      for (const auto& [ip, n] : st.sent) {
-        auto addr = IpAddr::parse(ip);
-        if (!addr.ok()) return Err("shard checkpoint: bad source address " + ip);
-        remaining[*addr] = n;
-      }
-      for (const auto& rec : slices[i]) {
-        auto it = remaining.find(rec.src.addr);
-        if (it != remaining.end() && it->second > 0) {
-          --it->second;
-          continue;
-        }
-        if (!found || rec.timestamp < anchor_ts) anchor_ts = rec.timestamp;
-        found = true;
-        break;
-      }
-    }
-  }
-  ReplayClock own_clock;
-  own_clock.start(anchor_ts, mono_now_ns() + kStartupLead);
-  const ReplayClock& clock = shared_clock != nullptr ? *shared_clock : own_clock;
-
-  // One full worker pipeline per shard, each a plain single-shard engine
-  // (mutation already applied above) with its own checkpoint file and its
-  // own resume state. Results land in per-shard slots and merge after the
-  // joins.
-  EngineConfig sub_cfg = config_;
-  sub_cfg.shards = 1;
-  sub_cfg.live_mutator = nullptr;
-  sub_cfg.resume_shards = nullptr;
-  std::vector<std::optional<Result<EngineReport>>> slots(config_.shards);
-  std::vector<std::unique_ptr<QueryEngine>> engines;
-  std::vector<std::thread> threads;
-  engines.reserve(config_.shards);
-  threads.reserve(config_.shards);
-  for (size_t i = 0; i < config_.shards; ++i) {
-    EngineConfig cfg = sub_cfg;
-    if (!config_.checkpoint_path.empty())
-      cfg.checkpoint_path = shard_checkpoint_path(config_.checkpoint_path, i);
-    // trace_hash 0 marks a shard that died before its first snapshot: it
-    // replays its slice from the start (re-sent queries are counted once,
-    // same contract as post-snapshot sends in a single-shard resume).
-    if (config_.resume_shards != nullptr &&
-        (*config_.resume_shards)[i].trace_hash != 0)
-      cfg.resume = &(*config_.resume_shards)[i];
-    engines.push_back(std::make_unique<QueryEngine>(std::move(cfg)));
-  }
-  for (size_t i = 0; i < config_.shards; ++i) {
-    threads.emplace_back([&clock, &slices, &slots, &engines, i] {
-      if (slices[i].empty()) {
-        slots[i] = EngineReport{};
-        return;
-      }
-      slots[i] = engines[i]->replay(slices[i], &clock);
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  EngineReport merged;
-  merged.replay_start = clock.real_origin();
-  merged.mutator_dropped = mutator_dropped;
-  for (auto& slot : slots) {
-    if (!slot.has_value()) return Err("shard produced no report");
-    if (!slot->ok()) return Err(slot->error().message);
-    merged.merge_from(std::move(slot->value()));
-  }
   return merged;
 }
 

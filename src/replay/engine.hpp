@@ -1,12 +1,15 @@
-// The distributed query engine (§2.6, §3): Controller (Reader + Postman) →
-// Distributors → Queriers, with same-source stickiness at every level so
-// connection reuse can be emulated faithfully.
+// The query engine (§2.6, §3): the controller (Reader + Postman) feeds N
+// querier threads directly, same-source sticky, so connection reuse can be
+// emulated faithfully.
 //
-// Substitution note (DESIGN.md): the paper runs distributors/queriers as
-// processes on separate client hosts connected by TCP; here they are
-// threads connected by bounded queues. The query path itself — the part
-// whose timing the evaluation validates — uses real UDP/TCP sockets against
-// a real server endpoint, and the §2.6 scheduling math runs unchanged.
+// Substitution note (DESIGN.md): the paper's controller → distributor →
+// querier tree spans hosts connected by TCP. Here the process is the
+// distributor: `ldp-replay` in single-process mode, or each `ldp-worker` of
+// a `--workers N` fleet (src/replay/dist/). Inside one process there is one
+// fan-out axis, the querier threads, fed through one bounded queue each.
+// The query path itself — the part whose timing the evaluation validates —
+// uses real UDP/TCP sockets against a real server endpoint, and the §2.6
+// scheduling math runs unchanged.
 #pragma once
 
 #include <atomic>
@@ -14,6 +17,7 @@
 #include <memory>
 #include <optional>
 #include <thread>
+#include <unordered_map>
 
 #include "fault/fault.hpp"
 #include "mutate/mutator.hpp"
@@ -31,7 +35,7 @@ namespace ldp::replay {
 
 struct CheckpointState;  // checkpoint.hpp (engine.cpp includes it)
 
-/// What a distributor does when a querier queue stays full past the grace
+/// What the controller does when a querier queue stays full past the grace
 /// period (an overloaded consumer). Block preserves every query at the cost
 /// of stalling the controller clock; the shedding policies keep the clock
 /// honest and account for what they cost.
@@ -43,19 +47,16 @@ enum class OverloadPolicy : uint8_t {
 
 struct EngineConfig {
   Endpoint server;            ///< where replayed queries go
-  size_t distributors = 1;
+  /// Querier threads: the one in-process fan-out. The controller splits the
+  /// trace over them by source (sticky, round-robin by first appearance;
+  /// see SourceSplit). The process running the engine — ldp-replay, or each
+  /// ldp-worker — is the paper's distributor, so there is no distributor
+  /// tier inside it.
   size_t queriers_per_distributor = 2;
-  /// Sharded querier pool: with shards > 1, replay() partitions the trace
-  /// by source (sticky — a source never spans shards, so connection reuse
-  /// and same-source ordering hold) into this many slices and runs each
-  /// through its own full worker pipeline (distributors × queriers, own
-  /// event loops) on a shared replay clock, merging the per-shard reports
-  /// after the joins. The per-source fault-draw schedule is a function of
-  /// the seed alone ("udp:<src>"/"tcp:<src>" stream names), so fixed-seed
-  /// impairment counters are identical at any shard count. shards == 1 is
-  /// byte-for-byte the unsharded code path. With checkpoint_path set, each
-  /// shard snapshots its own slice to `<path>.shard<N>`; resume takes the
-  /// matching per-shard states via `resume_shards`.
+  /// Must stay 1: replay() refuses any other value. More querier threads
+  /// come from queriers_per_distributor; more distributors are ldp-worker
+  /// processes (`ldp-replay --workers N`).
+  size_t distributors = 1;
   size_t shards = 1;
   /// Timed replay reproduces trace timing; fast mode sends as fast as
   /// possible (§2.6 "replay as fast as possible" option, Figure 9).
@@ -92,34 +93,29 @@ struct EngineConfig {
   /// how sources are spread over queriers or controllers. nullopt = clean
   /// link.
   std::optional<fault::FaultSpec> fault;
-  /// Overload shedding for the controller→distributor→querier queues:
-  /// how long a push may wait before the policy kicks in.
+  /// Overload shedding for the controller→querier queues: how long a push
+  /// may wait before the policy kicks in.
   OverloadPolicy overload = OverloadPolicy::Block;
   TimeNs shed_grace = 5 * kMilli;
   /// Deterministic checkpoint/resume: when `checkpoint_path` is set, a
-  /// ticker thread snapshots per-source trace positions, fault stream draw
-  /// positions and in-flight queries to the file (atomically, tmp+rename)
-  /// every checkpoint_interval, which must be positive, and a final
-  /// quiescent snapshot is written when the replay completes. `resume`
+  /// ticker thread gathers every querier's snapshot — per-source trace
+  /// positions, fault stream draw positions and in-flight queries — into
+  /// one file (atomically, tmp+rename) every checkpoint_interval, which
+  /// must be positive, and a final quiescent snapshot is written when the
+  /// replay completes. The state is keyed by source and stream name, never
+  /// by querier, so a checkpoint resumes at any querier count. `resume`
   /// replays only what the checkpoint hasn't sent and folds the
   /// checkpoint's counters into the final report; it must outlive the
   /// replay() call.
   std::string checkpoint_path;
   TimeNs checkpoint_interval = kSecond;
   const CheckpointState* resume = nullptr;
-  /// Per-shard resume states for shards > 1 (size must equal `shards`,
-  /// same partition as the run that wrote them — the per-slice trace
-  /// fingerprints catch a mismatched shard count). A default-constructed
-  /// entry (trace_hash 0) means that shard never snapshot and replays its
-  /// slice from the start. Mutually exclusive with `resume`.
-  const std::vector<CheckpointState>* resume_shards = nullptr;
   /// In-memory checkpoint consumer: called with each periodic snapshot (and
   /// the final quiescent one) in addition to — or instead of — the file at
   /// checkpoint_path. The distributed worker wires this to CHECKPOINT
   /// control frames so the controller always holds a fresh resume point.
   /// Runs on the checkpoint ticker thread; must be cheap and must not call
-  /// back into the engine. Only valid with shards == 1 (a per-shard sink
-  /// would interleave unrelated slices).
+  /// back into the engine.
   std::function<void(const CheckpointState&)> checkpoint_sink;
 
   /// True when any checkpoint consumer is configured — queriers then track
@@ -152,7 +148,7 @@ struct EngineReport {
   uint64_t max_in_flight = 0;
   // Overload accounting.
   uint64_t shed_queries = 0;        ///< records dropped by overload shedding
-  uint64_t queue_hwm = 0;           ///< deepest any worker queue ever got
+  uint64_t queue_hwm = 0;           ///< deepest any querier queue ever got
   uint64_t clamp_stall_ns = 0;      ///< time ClampRate spent blocked on full queues
   // Distributed-replay accounting (src/replay/dist/): processes, not threads.
   uint64_t worker_crashes = 0;      ///< worker processes that died mid-replay
@@ -198,8 +194,8 @@ struct EngineReport {
     };
   }
 
-  /// Fold another report (one querier's, one distributor's, one
-  /// controller's) into this one: counters merge by their table rule,
+  /// Fold another report (one querier's, the controller's, one worker's)
+  /// into this one: counters merge by their table rule,
   /// histograms merge, send records append, and replay_start/replay_end
   /// widen to cover both.
   void merge_from(EngineReport&& other);
@@ -211,14 +207,29 @@ static_assert(sizeof(EngineReport) ==
               "every EngineReport counter must be listed in counters(); "
               "a new non-counter member must be added to this sum");
 
-/// The one split of a trace's query records into `n` time-ordered slices
-/// (shards, worker processes): sticky by source in first-appearance
-/// round-robin order, so a source's connections and fault stream live in
-/// one slice, and deterministic, so worker and controller agree on it.
+/// The one split of query sources over `n` slots (querier threads, worker
+/// processes): sticky — a source keeps its slot for the whole replay, so its
+/// connections and fault stream live in one place — and round-robin in
+/// order of first appearance, so it is deterministic and worker and
+/// controller agree on it.
+class SourceSplit {
+ public:
+  explicit SourceSplit(size_t n) : n_(n) {}
+  size_t slot_for(const IpAddr& source) {
+    return slots_.emplace(source, slots_.size() % n_).first->second;
+  }
+
+ private:
+  size_t n_;
+  std::unordered_map<IpAddr, size_t, IpAddrHash> slots_;
+};
+
+/// A trace's query records split into `n` time-ordered slices by
+/// SourceSplit (the worker slices of a `--workers N` replay).
 std::vector<std::vector<trace::TraceRecord>> partition_by_source(
     const std::vector<trace::TraceRecord>& trace, size_t n);
 
-/// What overload handling cost one producer: records shed and time spent
+/// What overload handling cost the controller: records shed and time spent
 /// blocked under ClampRate. Atomic, because the checkpoint ticker reads it
 /// while the producer pushes.
 struct OverloadLedger {
@@ -244,24 +255,16 @@ class QueryEngine {
   ///
   /// `shared_clock` lets several engines replay slices of one trace on a
   /// common timeline (§2.6 "split input stream to feed multiple
-  /// controllers"); it must already be started. Pass nullptr to let this
-  /// engine latch its own synchronization point.
+  /// controllers"; ldp-worker uses it for the fleet's barrier start); it
+  /// must already be started. Pass nullptr to let this engine latch its own
+  /// synchronization point.
   Result<EngineReport> replay(const std::vector<trace::TraceRecord>& trace,
                               const ReplayClock* shared_clock = nullptr);
 
  private:
   class Querier;
-  class Distributor;
-
-  /// The shards > 1 path: partition by source, one sub-engine per shard on
-  /// its own thread, one shared clock, merge-after-join.
-  Result<EngineReport> replay_sharded(const std::vector<trace::TraceRecord>& trace,
-                                      const ReplayClock* shared_clock);
 
   EngineConfig config_;
-  // Same-source stickiness: controller level (source -> distributor).
-  std::unordered_map<IpAddr, size_t, IpAddrHash> source_to_distributor_;
-  size_t next_distributor_ = 0;
 };
 
 }  // namespace ldp::replay

@@ -1,6 +1,6 @@
 // Lightweight replay metrics: a log2-bucketed latency histogram and the
 // query-lifecycle counter bundle the engine threads through
-// Querier → Distributor → QueryEngine into EngineReport. Both types are
+// Querier → QueryEngine (and ldp-worker → controller) into EngineReport. Both types are
 // cheaply mergeable so per-querier instances can be combined without locks
 // (each querier owns its own copy; merging happens after the threads join).
 #pragma once

@@ -1,5 +1,5 @@
-// Bounded MPMC queue for the distributed query engine (controller ->
-// distributor -> querier message flow, §2.6).
+// Bounded MPMC queue for the query engine (the controller -> querier
+// message flow, §2.6).
 //
 // Shutdown contract: close() atomically flips the queue to closed and wakes
 // every blocked producer and consumer exactly once (a single notify_all per

@@ -114,17 +114,15 @@ grep -q "limits: max-conns:32" hardened.log || { echo "limits banner missing"; e
 grep -q "overload: policy:refuse" hardened.log || { echo "overload banner missing"; exit 1; }
 grep -q "connections:" hardened.log || { echo "connection summary missing"; exit 1; }
 
-echo "== sharded server + sharded replay over loopback (--shards 2)"
+echo "== sharded server + two-querier replay over loopback (--shards 2, --queriers 2)"
 PORT3=$(( (RANDOM % 10000) + 20000 ))
 $SERVER --port $PORT3 --shards 2 example.zone 2> sharded.log &
 SERVER_PID=$!
 sleep 0.5
-OUT5=$($REPLAY --fast --shards 2 trace.ldpb 127.0.0.1 $PORT3 2> replay_sharded.log)
+OUT5=$($REPLAY --fast --queriers 2 trace.ldpb 127.0.0.1 $PORT3)
 echo "$OUT5"
-[ "$(counter "$OUT5" queries_sent)" = 400 ] || { echo "sharded replay lost queries"; exit 1; }
+[ "$(counter "$OUT5" queries_sent)" = 400 ] || { echo "two-querier replay lost queries"; exit 1; }
 [ "$(counter "$OUT5" responses_received)" -gt 0 ] || { echo "sharded server answered nothing"; exit 1; }
-grep -q "shards: 2 source-partitioned" replay_sharded.log \
-  || { echo "replay shard banner missing"; exit 1; }
 kill $SERVER_PID
 wait $SERVER_PID 2>/dev/null || true
 grep -q "shards: 2 (SO_REUSEPORT" sharded.log || { echo "server shard banner missing"; exit 1; }
@@ -132,15 +130,17 @@ grep -q "shard 0 connections:" sharded.log || { echo "per-shard summary missing"
 grep -q "shard 1 connections:" sharded.log || { echo "per-shard summary missing"; exit 1; }
 grep -q "connections (merged):" sharded.log || { echo "merged summary missing"; exit 1; }
 
-echo "== --shards is strictly validated on both tools"
+echo "== server --shards and replay --queriers are strictly validated"
 if $SERVER --shards 0 example.zone 2> badshards.log; then
   echo "--shards 0 was accepted"; exit 1
 fi
 grep -q "bad --shards" badshards.log || { echo "missing server --shards error"; exit 1; }
-if $REPLAY --shards banana trace.ldpb 127.0.0.1 $PORT3 2>> badshards.log; then
-  echo "--shards banana was accepted"; exit 1
-fi
-grep -q "plain integer" badshards.log || { echo "missing replay --shards error"; exit 1; }
+usage_error "bad --queriers: wants a plain integer" --queriers banana trace.ldpb 127.0.0.1 9
+usage_error "bad --queriers: must be between 1 and 1024" --queriers 0 trace.ldpb 127.0.0.1 9
+
+echo "== the replay's shard and distributor tiers are gone: --queriers is the fan-out"
+usage_error "unknown option '--shards'" --shards 2 trace.ldpb 127.0.0.1 9
+usage_error "unknown option '--distributors'" --distributors 2 trace.ldpb 127.0.0.1 9
 
 echo "== ports and sizes are range-checked, never wrapped or ignored"
 # timeout: a server that wrongly accepted the flag would serve forever.
@@ -160,27 +160,29 @@ fi
 grep -q "bad port: must be between 1 and 65535" badints.log \
   || { echo "missing replay port range error"; exit 1; }
 
-echo "== sharded checkpoint / kill -9 / --shards 4 --resume round trip"
+echo "== four-querier checkpoint / kill -9 / --queriers 4 --resume round trip"
 PORT4=$(( (RANDOM % 10000) + 20000 ))
 $SERVER --port $PORT4 example.zone &
 SERVER_PID=$!
 sleep 0.5
-# Paced sharded replay writing per-shard snapshots; kill it mid-run, then a
-# sharded resume merges the .shardN files. Totals must cover every query.
+# Paced four-querier replay gathering every querier into one snapshot file;
+# kill it mid-run, then resume from that file. Totals must cover every query.
 CKPT4=ckpt4.state
-$REPLAY --shards 4 --checkpoint $CKPT4 --checkpoint-interval 0.2 \
-  trace.ldpb 127.0.0.1 $PORT4 > shard_resume_first.log 2>&1 &
+$REPLAY --queriers 4 --checkpoint $CKPT4 --checkpoint-interval 0.2 \
+  trace.ldpb 127.0.0.1 $PORT4 > querier_resume_first.log 2>&1 &
 REPLAY_PID=$!
 sleep 1
 kill -9 $REPLAY_PID 2>/dev/null || true
 wait $REPLAY_PID 2>/dev/null || true
 REPLAY_PID=""
-ls $CKPT4.shard* >/dev/null 2>&1 || { echo "no per-shard checkpoints written"; exit 1; }
-OUT6=$($REPLAY --shards 4 --checkpoint $CKPT4 --resume trace.ldpb 127.0.0.1 $PORT4 2>&1)
+[ -f $CKPT4 ] || { echo "no checkpoint written"; exit 1; }
+[ "$(ls $CKPT4* | grep -cv '\.tmp$')" = 1 ] \
+  || { echo "more than one checkpoint file: $(ls $CKPT4*)"; exit 1; }
+OUT6=$($REPLAY --queriers 4 --checkpoint $CKPT4 --resume trace.ldpb 127.0.0.1 $PORT4 2>&1)
 echo "$OUT6"
-echo "$OUT6" | grep -q "resuming from $CKPT4.shard\*" \
-  || { echo "sharded resume did not load the checkpoints"; exit 1; }
-[ "$(counter "$OUT6" queries_sent)" = 400 ] || { echo "sharded resume lost queries"; exit 1; }
+echo "$OUT6" | grep -q "resuming from $CKPT4:" \
+  || { echo "resume did not load the checkpoint"; exit 1; }
+[ "$(counter "$OUT6" queries_sent)" = 400 ] || { echo "four-querier resume lost queries"; exit 1; }
 
 echo "== distributed replay: --workers 2 forked worker processes"
 OUT7=$($REPLAY --workers 2 --worker-bin $WORKER trace.ldpb 127.0.0.1 $PORT4 2>&1)
@@ -188,6 +190,10 @@ echo "$OUT7"
 echo "$OUT7" | grep -q "workers: 2 replay processes" || { echo "dist banner missing"; exit 1; }
 [ "$(counter "$OUT7" queries_sent)" = 400 ] || { echo "dist replay lost queries"; exit 1; }
 [ "$(counter "$OUT7" worker_crashes)" = 0 ] || { echo "clean dist run reported crashes"; exit 1; }
+
+echo "== distributed replay: --queriers sets each worker's querier threads"
+OUT7Q=$($REPLAY --workers 2 --queriers 2 --worker-bin $WORKER trace.ldpb 127.0.0.1 $PORT4 2>&1)
+[ "$(counter "$OUT7Q" queries_sent)" = 400 ] || { echo "--workers 2 --queriers 2 lost queries"; exit 1; }
 
 echo "== distributed replay: kill -9 a worker, respawn, resume"
 OUT8=$($REPLAY --workers 2 --worker-bin $WORKER --checkpoint-interval 0.3 \
@@ -210,8 +216,8 @@ if $REPLAY --workers banana trace.ldpb 127.0.0.1 $PORT4 2>> badworkers.log; then
   echo "--workers banana was accepted"; exit 1
 fi
 grep -q "plain integer" badworkers.log || { echo "missing --workers parse error"; exit 1; }
-if $REPLAY --workers 2 --shards 2 trace.ldpb 127.0.0.1 $PORT4 2>> badworkers.log; then
-  echo "--workers + --shards conflict was accepted"; exit 1
+if $REPLAY --workers 2 --checkpoint ck.state trace.ldpb 127.0.0.1 $PORT4 2>> badworkers.log; then
+  echo "--workers + --checkpoint conflict was accepted"; exit 1
 fi
 grep -q "incompatible" badworkers.log || { echo "missing conflict error"; exit 1; }
 if $REPLAY --kill-worker 1 trace.ldpb 127.0.0.1 $PORT4 2>> badworkers.log; then

@@ -1,12 +1,16 @@
 // Distributed-replay regression suite (`ctest -L dist` / check_dist): the
-// control protocol codecs and FrameReader, the shared source partition,
-// multi-process replay through real forked ldp-worker processes (counters,
-// kill -9 → respawn → resume exactness, a SIGSTOP-wedged worker killed on
-// heartbeat staleness and respawned just as exactly, respawn-budget
-// exhaustion and the in-process fallback, drift correction with a
-// deliberately skewed worker clock), and the lifted sharded-checkpoint restriction (per-shard files,
-// merged resume). Also what the tsan-dist preset runs under ThreadSanitizer.
+// control protocol codecs and FrameReader, control-frame round-trip latency
+// over loopback TCP, the shared source partition, multi-process replay
+// through real forked ldp-worker processes (counters, kill -9 → respawn →
+// resume exactness, a SIGSTOP-wedged worker killed on heartbeat staleness
+// and respawned just as exactly, respawn-budget exhaustion and the
+// in-process fallback, drift correction with a deliberately skewed worker
+// clock), and checkpoints of a source-split querier pool (one file at any
+// querier count, resume across querier counts). Also what the tsan-dist
+// preset runs under ThreadSanitizer.
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -14,7 +18,9 @@
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -86,7 +92,6 @@ replay::dist::DistConfig base_config(const Endpoint& server,
   cfg.worker_bin = LDP_WORKER_BIN;
   cfg.trace_path = trace_path;
   cfg.server = server;
-  cfg.distributors = 1;
   cfg.queriers_per_distributor = 1;
   cfg.heartbeat_interval = 100 * kMilli;
   cfg.checkpoint_interval = 200 * kMilli;
@@ -111,7 +116,6 @@ TEST(DistProtocol, HelloAssignStartRoundTrip) {
   assign.count = 4;
   assign.server = Endpoint{IpAddr{Ip4{127, 0, 0, 1}}, 5353};
   assign.timed = false;
-  assign.distributors = 3;
   assign.queriers = 5;
   assign.heartbeat_interval = 123 * kMilli;
   assign.checkpoint_interval = 456 * kMilli;
@@ -123,7 +127,6 @@ TEST(DistProtocol, HelloAssignStartRoundTrip) {
   EXPECT_EQ(a->count, 4u);
   EXPECT_EQ(a->server.to_string(), "127.0.0.1:5353");
   EXPECT_FALSE(a->timed);
-  EXPECT_EQ(a->distributors, 3u);
   EXPECT_EQ(a->queriers, 5u);
   EXPECT_EQ(a->heartbeat_interval, 123 * kMilli);
   EXPECT_EQ(a->checkpoint_interval, 456 * kMilli);
@@ -144,6 +147,16 @@ TEST(DistProtocol, HelloAssignStartRoundTrip) {
   ASSERT_FALSE(old.ok());
   EXPECT_NE(old.error().message.find("unknown field 'batched'"), std::string::npos)
       << old.error().message;
+  // Nor does version 3 know a version-2 `distributors` line: the worker
+  // process is the distributor, and its engine has no such tier.
+  EXPECT_EQ(replay::dist::kProtocolVersion, 3u);
+  auto v2 = replay::dist::parse_assign("index 0\ncount 1\ndistributors 1\n");
+  ASSERT_FALSE(v2.ok());
+  EXPECT_NE(v2.error().message.find("unknown field 'distributors'"),
+            std::string::npos)
+      << v2.error().message;
+  // A worker engine needs at least one querier thread.
+  EXPECT_FALSE(replay::dist::parse_assign("index 0\ncount 1\nqueriers 0\n").ok());
 
   // Out-of-range slice indices are a parse error, not a crash later.
   assign.index = 9;
@@ -272,6 +285,63 @@ TEST(DistProtocol, FrameReaderRejectsOversizedAndEmptyFrames) {
   EXPECT_FALSE(reader2.next().ok());
 }
 
+// --- control-frame latency -------------------------------------------------
+
+// Request/reply frame round trips over loopback TCP without TCP_NODELAY,
+// the way the controller and its workers run the handshake, the barrier
+// probe rounds and every respawn. A frame written in two pieces (header,
+// then payload) holds the payload back under Nagle until the peer's delayed
+// ACK fires, about 40 ms per frame; one write per frame has nothing to wait
+// for.
+TEST(DistProtocol, FrameRoundTripsDoNotWaitOnDelayedAcks) {
+  int listener = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t addr_len = sizeof(addr);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), addr_len), 0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &addr_len), 0);
+  int client = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(client, 0);
+  ASSERT_EQ(::connect(client, reinterpret_cast<sockaddr*>(&addr), addr_len), 0);
+  int peer = ::accept(listener, nullptr, nullptr);
+  ASSERT_GE(peer, 0);
+
+  // The peer echoes every frame back until the client closes its side.
+  std::thread echo([peer] {
+    while (true) {
+      auto f = replay::dist::recv_frame(peer);
+      if (!f.ok() || !f->has_value()) return;
+      if (!replay::dist::send_frame(peer, (*f)->type, (*f)->payload).ok()) return;
+    }
+  });
+  constexpr int kRounds = 40;
+  const std::string probe = replay::dist::encode_barrier(
+      {BarrierMsg::Kind::Probe, 1, 123456789, 0});
+  TimeNs t0 = mono_now_ns();
+  for (int i = 0; i < kRounds; ++i) {
+    bool sent = replay::dist::send_frame(client, FrameType::Barrier, probe).ok();
+    auto reply = replay::dist::recv_frame(client);
+    if (!sent || !reply.ok() || !reply->has_value() ||
+        (*reply)->payload != probe) {
+      ADD_FAILURE() << "round trip " << i << " failed";
+      break;
+    }
+  }
+  TimeNs elapsed = mono_now_ns() - t0;
+  ::shutdown(client, SHUT_WR);
+  echo.join();
+  ::close(peer);
+  ::close(client);
+  ::close(listener);
+  // 80 frames at loopback speed take milliseconds; a delayed-ACK stall per
+  // frame adds up to seconds.
+  EXPECT_LT(elapsed, kSecond) << kRounds << " round trips took "
+                              << ns_to_ms(elapsed) << " ms";
+}
+
 // --- the shared partition --------------------------------------------------
 
 TEST(DistPartition, StickyDeterministicAndComplete) {
@@ -383,9 +453,10 @@ TEST_F(DistReplay, SigstopWedgedWorkerIsKilledRespawnedAndExact) {
 
   // Only the first `--index 1` launch wedges; the marker file records that
   // launch's pid, and the respawn finds it and runs clean. Launch to
-  // barrier start takes about a second (handshake, probe rounds, the 400 ms
-  // start lead), so a stop 1.6 s after launch lands mid-replay, after the
-  // first checkpoints have shipped.
+  // barrier start takes little more than the 400 ms start lead (handshake
+  // and probe rounds are a few ms of one-write frames), so a stop 1.6 s
+  // after launch lands about 1.2 s into the 2 s trace: mid-replay, after
+  // the first checkpoints have shipped.
   const std::string stem =
       "/tmp/ldp_dist_test_wedge_" + std::to_string(::getpid());
   const std::string marker = stem + ".pid";
@@ -480,8 +551,11 @@ TEST_F(DistReplay, DriftCorrectionAlignsASkewedWorkerClock) {
   std::remove(path.c_str());
 }
 
-// --- sharded checkpoints (the lifted engine restriction) -------------------
+// --- checkpoints of a source-split querier pool -----------------------------
 
+// "Sharded" here is the replay's source split over querier threads: the
+// controller gathers every querier's snapshot into one checkpoint file,
+// keyed by source and stream name, so the querier count never shows in it.
 class ShardedCheckpoint : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -493,12 +567,10 @@ class ShardedCheckpoint : public ::testing::Test {
   // Timed pacing: an untimed blast overruns socket buffers and loses
   // responses nondeterministically, which would break the
   // resume-vs-uninterrupted exact-equality assertions below.
-  replay::EngineConfig engine_config(size_t shards) {
+  replay::EngineConfig engine_config(size_t queriers) {
     replay::EngineConfig cfg;
     cfg.server = server_->endpoint();
-    cfg.shards = shards;
-    cfg.distributors = 1;
-    cfg.queriers_per_distributor = 1;
+    cfg.queriers_per_distributor = queriers;
     cfg.drain_grace = 2 * kSecond;
     return cfg;
   }
@@ -506,93 +578,119 @@ class ShardedCheckpoint : public ::testing::Test {
   std::unique_ptr<server::BackgroundServer> server_;
 };
 
-TEST_F(ShardedCheckpoint, PerShardFilesWrittenAndResumeMatchesUninterrupted) {
+bool file_exists(const std::string& path) {
+  struct stat st;
+  return ::stat(path.c_str(), &st) == 0;
+}
+
+TEST_F(ShardedCheckpoint, OneFileAcrossQueriersAndResumeMatchesUninterrupted) {
   auto trace = small_trace();
   const std::string ckpt =
-      "/tmp/ldp_dist_test_shardckpt_" + std::to_string(::getpid());
+      "/tmp/ldp_dist_test_poolckpt_" + std::to_string(::getpid());
 
   auto uninterrupted =
       replay::QueryEngine(engine_config(4)).replay(trace);
   ASSERT_TRUE(uninterrupted.ok()) << uninterrupted.error().message;
   EXPECT_EQ(uninterrupted->queries_sent, trace.size());
 
-  // Sharded + checkpointing — the combination the engine used to refuse.
   auto cfg = engine_config(4);
   cfg.checkpoint_path = ckpt;
   auto checkpointed = replay::QueryEngine(cfg).replay(trace);
   ASSERT_TRUE(checkpointed.ok()) << checkpointed.error().message;
   EXPECT_EQ(checkpointed->queries_sent, uninterrupted->queries_sent);
 
-  // Four per-shard files, each a parsable snapshot of a *different* slice.
-  auto states = replay::load_sharded_checkpoints(ckpt, 4);
-  ASSERT_TRUE(states.ok()) << states.error().message;
-  ASSERT_EQ(states->size(), 4u);
-  uint64_t from_shards = 0;
-  for (size_t i = 0; i < 4; ++i) {
-    EXPECT_NE((*states)[i].trace_hash, 0u) << "shard " << i;
-    from_shards += (*states)[i].partial.queries_sent;
-    for (size_t j = i + 1; j < 4; ++j)
-      EXPECT_NE((*states)[i].trace_hash, (*states)[j].trace_hash);
-  }
-  EXPECT_EQ(from_shards, trace.size());
+  // Exactly one file, holding every querier's sources; no per-querier or
+  // per-shard siblings.
+  ASSERT_TRUE(file_exists(ckpt));
+  for (size_t i = 0; i < 4; ++i)
+    EXPECT_FALSE(file_exists(ckpt + ".shard" + std::to_string(i))) << i;
+  auto state = replay::load_checkpoint(ckpt);
+  ASSERT_TRUE(state.ok()) << state.error().message;
+  EXPECT_EQ(state->trace_hash, replay::trace_fingerprint(trace));
+  EXPECT_EQ(state->partial.queries_sent, trace.size());
+  EXPECT_EQ(state->sent.size(), 12u);  // every source of small_trace()
 
-  // Resuming from the complete snapshots replays nothing and reproduces
-  // the uninterrupted totals exactly.
+  // Resuming from the final snapshot replays nothing and reproduces the
+  // uninterrupted totals exactly.
   auto resume_cfg = engine_config(4);
-  resume_cfg.resume_shards = &*states;
+  resume_cfg.resume = &*state;
   auto resumed = replay::QueryEngine(resume_cfg).replay(trace);
   ASSERT_TRUE(resumed.ok()) << resumed.error().message;
   replay::expect_same_counters(
       *resumed, *uninterrupted,
       {replay::kQueuePeakTiming, replay::kInFlightPeakTiming});
-
-  // A shard that died before its first snapshot (missing file) comes back
-  // default-constructed and replays its slice from the start; totals are
-  // still exact.
-  ASSERT_EQ(std::remove(replay::shard_checkpoint_path(ckpt, 2).c_str()), 0);
-  auto partial = replay::load_sharded_checkpoints(ckpt, 4);
-  ASSERT_TRUE(partial.ok()) << partial.error().message;
-  EXPECT_EQ((*partial)[2].trace_hash, 0u);
-  auto resume2_cfg = engine_config(4);
-  resume2_cfg.resume_shards = &*partial;
-  auto resumed2 = replay::QueryEngine(resume2_cfg).replay(trace);
-  ASSERT_TRUE(resumed2.ok()) << resumed2.error().message;
-  replay::expect_same_counters(
-      *resumed2, *uninterrupted,
-      {replay::kQueuePeakTiming, replay::kInFlightPeakTiming});
-
-  for (size_t i = 0; i < 4; ++i)
-    std::remove(replay::shard_checkpoint_path(ckpt, i).c_str());
+  std::remove(ckpt.c_str());
 }
 
+// A cut taken mid-replay at four queriers resumes exactly at one: the
+// state is keyed by source, so which querier sent what does not matter.
+// The cut is a periodic snapshot of a run that goes on past it, which is
+// what a kill right after that snapshot leaves behind.
+TEST_F(ShardedCheckpoint, CutAtFourQueriersResumesExactlyAtOne) {
+  auto trace = small_trace();
+
+  auto uninterrupted =
+      replay::QueryEngine(engine_config(1)).replay(trace);
+  ASSERT_TRUE(uninterrupted.ok()) << uninterrupted.error().message;
+  EXPECT_EQ(uninterrupted->queries_sent, trace.size());
+
+  std::mutex mu;
+  std::string cut;  // the first snapshot between a quarter and half way
+  auto cfg = engine_config(4);
+  cfg.checkpoint_interval = 100 * kMilli;
+  cfg.checkpoint_sink = [&](const replay::CheckpointState& st) {
+    uint64_t sent = st.partial.queries_sent;
+    std::lock_guard lock(mu);
+    if (cut.empty() && sent > trace.size() / 4 && sent < trace.size() / 2)
+      cut = replay::serialize_checkpoint(st);
+  };
+  ASSERT_TRUE(replay::QueryEngine(cfg).replay(trace).ok());
+  ASSERT_FALSE(cut.empty()) << "no snapshot landed mid-replay";
+
+  auto state = replay::parse_checkpoint(cut);
+  ASSERT_TRUE(state.ok()) << state.error().message;
+  auto resume_cfg = engine_config(1);
+  resume_cfg.resume = &*state;
+  auto resumed = replay::QueryEngine(resume_cfg).replay(trace);
+  ASSERT_TRUE(resumed.ok()) << resumed.error().message;
+  EXPECT_EQ(resumed->queries_sent, trace.size());
+  EXPECT_EQ(resumed->lifecycle.adopted_resends, state->pending.size());
+  replay::expect_same_counters(
+      *resumed, *uninterrupted,
+      {{"lifecycle.adopted_resends",
+        "the resume resends what was in flight at the cut"},
+       replay::kQueuePeakTiming, replay::kInFlightPeakTiming});
+}
+
+// Shards or distributors other than 1 are an error that names the one
+// fan-out knob, and the other config checks still hold at several
+// queriers.
 TEST_F(ShardedCheckpoint, RemainingInvalidCombinationsStayErrors) {
   auto trace = small_trace(5 * kMilli, 200 * kMilli, 4);
+  auto expect_refused = [](const Result<replay::EngineReport>& r,
+                           const char* why) {
+    ASSERT_FALSE(r.ok());
+    EXPECT_NE(r.error().message.find(why), std::string::npos)
+        << r.error().message;
+  };
 
-  // A single whole-trace resume state cannot drive a sharded run.
-  replay::CheckpointState single;
-  single.trace_hash = 1;
-  auto cfg = engine_config(2);
-  cfg.resume = &single;
-  auto r = replay::QueryEngine(cfg).replay(trace);
-  ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.error().message.find("resume_shards"), std::string::npos);
+  auto sharded = engine_config(2);
+  sharded.shards = 2;
+  expect_refused(replay::QueryEngine(sharded).replay(trace),
+                 "queriers_per_distributor");
+  auto two_tier = engine_config(2);
+  two_tier.distributors = 2;
+  expect_refused(replay::QueryEngine(two_tier).replay(trace),
+                 "queriers_per_distributor");
+  expect_refused(replay::QueryEngine(engine_config(0)).replay(trace),
+                 "at least one querier");
 
-  // resume_shards must match the shard count...
-  std::vector<replay::CheckpointState> two(3);
-  auto cfg2 = engine_config(2);
-  cfg2.resume_shards = &two;
-  ASSERT_FALSE(replay::QueryEngine(cfg2).replay(trace).ok());
-
-  // ...and the in-memory sink stays single-shard only.
-  auto cfg3 = engine_config(2);
-  cfg3.checkpoint_sink = [](const replay::CheckpointState&) {};
-  auto r3 = replay::QueryEngine(cfg3).replay(trace);
-  ASSERT_FALSE(r3.ok());
-  EXPECT_NE(r3.error().message.find("checkpoint_sink"), std::string::npos);
-
-  // No shard file at all means there is nothing to resume.
-  EXPECT_FALSE(
-      replay::load_sharded_checkpoints("/tmp/ldp_dist_no_such_ckpt", 2).ok());
+  // A checkpoint of another trace is refused at any querier count.
+  replay::CheckpointState foreign;
+  foreign.trace_hash = 1;
+  auto cfg = engine_config(4);
+  cfg.resume = &foreign;
+  expect_refused(replay::QueryEngine(cfg).replay(trace), "different trace");
 }
 
 }  // namespace

@@ -29,11 +29,11 @@ inline constexpr Excluded kInFlightPeakTiming{
     "max_in_flight", "in-flight peak depends on response timing"};
 
 /// Peaks are per queue and per querier: spreading the sources over more
-/// shards spreads the records over more queues and queriers.
-inline constexpr Excluded kShardQueuePeak{
-    "queue_hwm", "per-queue peak: each shard queues only its slice"};
-inline constexpr Excluded kShardInFlightPeak{
-    "max_in_flight", "per-querier peak: each shard sends only its slice"};
+/// querier threads spreads the records over more queues.
+inline constexpr Excluded kQuerierQueuePeak{
+    "queue_hwm", "per-queue peak: each querier queues only its slice"};
+inline constexpr Excluded kQuerierInFlightPeak{
+    "max_in_flight", "per-querier peak: each querier sends only its slice"};
 
 inline void expect_same_counters(const EngineReport& a, const EngineReport& b,
                                  std::initializer_list<Excluded> excluded = {}) {

@@ -1,7 +1,7 @@
 // Fault-scenario regression suite: fixed-seed impairment scenarios driven
-// end-to-end through the real-socket replay engine (UDP and TCP), the
-// sharded querier pool, and the simnet discrete-event runtime — asserting
-// exact, reproducible impairment and lifecycle counter outcomes.
+// end-to-end through the real-socket replay engine (UDP and TCP) at one
+// and at several querier threads, and the simnet discrete-event runtime —
+// asserting exact, reproducible impairment and lifecycle counter outcomes.
 //
 // The exactness technique: FaultStream verdicts depend only on
 // (seed, stream name, packet index) plus packet time for window
@@ -71,7 +71,6 @@ TEST(FaultScenarios, UdpLossExactCounters) {
   replay::EngineConfig cfg;
   cfg.server = (*bg)->endpoint();
   cfg.timed = false;
-  cfg.distributors = 1;
   cfg.queriers_per_distributor = 1;
   cfg.max_retries = 0;
   cfg.query_timeout = 300 * kMilli;
@@ -104,7 +103,6 @@ TEST(FaultScenarios, FixedSeedScenarioByteIdenticalAcrossRunsAndRuntimes) {
   replay::EngineConfig cfg;
   cfg.server = (*bg)->endpoint();
   cfg.timed = false;
-  cfg.distributors = 1;
   cfg.queriers_per_distributor = 1;
   cfg.max_retries = 0;  // one draw per query: index-exact determinism
   cfg.query_timeout = 300 * kMilli;
@@ -152,7 +150,6 @@ TEST(FaultScenarios, TcpLossConservationAndRecovery) {
   replay::EngineConfig cfg;
   cfg.server = (*bg)->endpoint();
   cfg.timed = false;
-  cfg.distributors = 1;
   cfg.queriers_per_distributor = 1;
   cfg.max_retries = 4;
   cfg.query_timeout = 200 * kMilli;
@@ -188,7 +185,6 @@ TEST(FaultScenarios, TcpFlapForcesReconnect) {
   replay::EngineConfig cfg;
   cfg.server = (*bg)->endpoint();
   cfg.timed = true;  // spreads sends across the down/up phases of the flap
-  cfg.distributors = 1;
   cfg.queriers_per_distributor = 1;
   cfg.max_retries = 4;
   cfg.query_timeout = 50 * kMilli;
@@ -230,7 +226,6 @@ TEST(FaultScenarios, SlowClientDripStarvesItselfAndHardenedServerEjectsIt) {
   replay::EngineConfig cfg;
   cfg.server = (*bg)->endpoint();
   cfg.timed = false;
-  cfg.distributors = 1;
   cfg.queriers_per_distributor = 1;
   cfg.max_retries = 0;
   cfg.tcp_reconnect = false;  // a second slow connection proves nothing new
@@ -263,7 +258,6 @@ TEST(FaultScenarios, SlowClientKnobLeavesUdpUntouched) {
   replay::EngineConfig cfg;
   cfg.server = (*bg)->endpoint();
   cfg.timed = false;
-  cfg.distributors = 1;
   cfg.queriers_per_distributor = 1;
   cfg.max_retries = 0;
   cfg.query_timeout = 500 * kMilli;
@@ -278,8 +272,8 @@ TEST(FaultScenarios, SlowClientKnobLeavesUdpUntouched) {
 }
 
 // ---------------------------------------------------------------------------
-// Shard equivalence: per-source outcomes are a function of the seed alone,
-// not of how sources are partitioned across shards.
+// Querier-count equivalence: per-source outcomes are a function of the seed
+// alone, not of how sources are split across querier threads.
 // ---------------------------------------------------------------------------
 
 struct PerSourceTotals {
@@ -302,19 +296,17 @@ std::map<std::string, PerSourceTotals> per_source(const replay::EngineReport& r)
   return out;
 }
 
-TEST(FaultScenarios, ShardCountsIndependentOfSplit) {
+TEST(FaultScenarios, QuerierCountsIndependentOfSplit) {
   auto bg = server::BackgroundServer::start(wildcard_server());
   ASSERT_TRUE(bg.ok());
   auto trace = fixed_trace(200, 8);
   fault::FaultSpec spec = spec_of("loss:0.2,seed:11");
 
-  auto run = [&](size_t shards) {
+  auto run = [&](size_t queriers) {
     replay::EngineConfig cfg;
     cfg.server = (*bg)->endpoint();
     cfg.timed = false;
-    cfg.shards = shards;
-    cfg.distributors = 1;
-    cfg.queriers_per_distributor = 1;
+    cfg.queriers_per_distributor = queriers;
     cfg.max_retries = 2;
     cfg.query_timeout = 300 * kMilli;
     cfg.retry_backoff_cap = 600 * kMilli;
@@ -343,7 +335,7 @@ TEST(FaultScenarios, ShardCountsIndependentOfSplit) {
   }
   // And the whole counter table: impairment and lifecycle accounting match.
   replay::expect_same_counters(
-      *one, *four, {replay::kShardQueuePeak, replay::kShardInFlightPeak});
+      *one, *four, {replay::kQuerierQueuePeak, replay::kQuerierInFlightPeak});
 }
 
 }  // namespace

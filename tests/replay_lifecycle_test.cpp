@@ -208,7 +208,6 @@ TEST(QueryLifecycleT, RetryDisabledCountsEveryLoss) {
   EngineConfig cfg;
   cfg.server = responder.endpoint();
   cfg.timed = false;
-  cfg.distributors = 1;
   cfg.queriers_per_distributor = 1;
   cfg.max_retries = 0;
   cfg.query_timeout = 200 * kMilli;
@@ -255,7 +254,6 @@ TEST(QueryLifecycleT, RetryRecoversDroppedQueries) {
   EngineConfig cfg;
   cfg.server = responder.endpoint();
   cfg.timed = false;
-  cfg.distributors = 1;
   cfg.queriers_per_distributor = 1;
   cfg.max_retries = 4;
   cfg.query_timeout = 150 * kMilli;
@@ -304,7 +302,6 @@ TEST(QueryLifecycleT, DuplicateIdsBothAnswered) {
   EngineConfig cfg;
   cfg.server = responder.endpoint();
   cfg.timed = false;
-  cfg.distributors = 1;
   cfg.queriers_per_distributor = 1;
   cfg.drain_grace = 3 * kSecond;
   QueryEngine engine(cfg);
@@ -331,7 +328,6 @@ TEST(QueryLifecycleT, InFlightBoundedDuringLossyTimedReplay) {
   EngineConfig cfg;
   cfg.server = responder.endpoint();
   cfg.timed = true;
-  cfg.distributors = 1;
   cfg.queriers_per_distributor = 1;
   cfg.max_retries = 0;
   cfg.query_timeout = 100 * kMilli;  // expiry window
@@ -449,7 +445,6 @@ TEST(QueryLifecycleT, TcpReconnectResendsPendingQueries) {
   EngineConfig cfg;
   cfg.server = responder.endpoint();
   cfg.timed = false;
-  cfg.distributors = 1;
   cfg.queriers_per_distributor = 1;
   cfg.max_retries = 2;
   cfg.query_timeout = kSecond;
@@ -483,7 +478,6 @@ TEST(QueryLifecycleT, TcpLossWithoutReconnectCountsExpired) {
   EngineConfig cfg;
   cfg.server = responder.endpoint();
   cfg.timed = false;
-  cfg.distributors = 1;
   cfg.queriers_per_distributor = 1;
   cfg.tcp_reconnect = false;
   cfg.query_timeout = kSecond;

@@ -3,6 +3,10 @@
 // TCP connection reuse, same-source stickiness, and response matching.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <filesystem>
+#include <thread>
+
 #include "replay/engine.hpp"
 #include "replay/schedule.hpp"
 #include "server/background.hpp"
@@ -156,7 +160,7 @@ TEST(QueryEngineT, TcpConnectionsReusedPerSource) {
   EXPECT_EQ((*bg)->connections().accepted, 4u);
 }
 
-TEST(QueryEngineT, MultipleDistributorsAndQueriersPartitionWork) {
+TEST(QueryEngineT, MultipleQueriersPartitionWork) {
   auto bg = server::BackgroundServer::start(wildcard_server());
   ASSERT_TRUE(bg.ok());
 
@@ -168,18 +172,17 @@ TEST(QueryEngineT, MultipleDistributorsAndQueriersPartitionWork) {
 
   EngineConfig cfg;
   cfg.server = (*bg)->endpoint();
-  cfg.distributors = 2;
-  cfg.queriers_per_distributor = 2;
+  cfg.queriers_per_distributor = 4;
   QueryEngine engine(cfg);
   auto report = engine.replay(trace);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->queries_sent, trace.size());
   EXPECT_EQ(report->responses_received, trace.size());
 
-  // All four queriers participated.
+  // All four queriers participated, numbered 0..3 in one flat pool.
   std::set<uint32_t> queriers;
   for (const auto& sr : report->sends) queriers.insert(sr.querier);
-  EXPECT_EQ(queriers.size(), 4u);
+  EXPECT_EQ(queriers, (std::set<uint32_t>{0, 1, 2, 3}));
 }
 
 TEST(QueryEngineT, SameSourceAlwaysSameQuerier) {
@@ -199,8 +202,7 @@ TEST(QueryEngineT, SameSourceAlwaysSameQuerier) {
 
   EngineConfig cfg;
   cfg.server = (*bg)->endpoint();
-  cfg.distributors = 2;
-  cfg.queriers_per_distributor = 2;
+  cfg.queriers_per_distributor = 4;
   QueryEngine engine(cfg);
   auto report = engine.replay(trace);
   ASSERT_TRUE(report.ok());
@@ -244,6 +246,48 @@ TEST(QueryEngineT, UnansweredQueriesDrainAfterGrace) {
   EXPECT_LT(mono_now_ns() - start, 5 * kSecond);
   EXPECT_EQ(report->responses_received, 0u);
   for (const auto& sr : report->sends) EXPECT_EQ(sr.latency, -1);
+}
+
+// The controller feeds its queriers directly: while a replay runs, the
+// process holds the controller (this thread), one thread per querier and
+// the checkpoint ticker — no distributor or shard threads in between.
+TEST(QueryEngineT, ReplayRunsOnlyControllerQueriersAndTicker) {
+  auto threads_now = [] {
+    size_t n = 0;
+    for (const auto& entry :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+      (void)entry;
+      ++n;
+    }
+    return n;
+  };
+  // A sanitizer runtime may start a helper thread with the first thread the
+  // process creates; start and join one so the baseline includes it.
+  std::thread([] {}).join();
+  const size_t baseline = threads_now();
+
+  EngineConfig cfg;
+  cfg.server = Endpoint{IpAddr{Ip4{127, 0, 0, 1}}, 1};  // nothing listens
+  cfg.queriers_per_distributor = 3;
+  cfg.max_retries = 0;
+  cfg.query_timeout = 50 * kMilli;
+  cfg.drain_grace = 100 * kMilli;
+  cfg.checkpoint_interval = 20 * kMilli;
+  std::atomic<size_t> peak{0};
+  cfg.checkpoint_sink = [&](const CheckpointState&) {
+    size_t n = threads_now();
+    size_t seen = peak.load();
+    while (n > seen && !peak.compare_exchange_weak(seen, n)) {
+    }
+  };
+
+  synth::FixedTraceSpec spec;
+  spec.interarrival_ns = 5 * kMilli;
+  spec.duration_ns = 300 * kMilli;
+  spec.client_count = 6;
+  auto report = QueryEngine(cfg).replay(synth::make_fixed_trace(spec));
+  ASSERT_TRUE(report.ok()) << report.error().message;
+  EXPECT_EQ(peak.load(), baseline + 3u + 1u);  // + queriers + ticker
 }
 
 }  // namespace

@@ -410,7 +410,6 @@ TEST(SelfHealingT, ResumedReplayMatchesUninterruptedRun) {
 
   EngineConfig base;
   base.server = (*bg)->endpoint();
-  base.distributors = 1;
   base.queriers_per_distributor = 2;
   base.timed = true;
   base.query_timeout = 50 * kMilli;   // resolve well inside the 120ms gap
@@ -519,11 +518,12 @@ TEST(CheckpointT, NonPositiveIntervalIsRefusedNotSpun) {
     sink.checkpoint_sink = [](const CheckpointState&) {};
     expect_refused(QueryEngine(sink).replay(trace));
 
-    EngineConfig file = sink;  // ldp-replay --checkpoint, one and two shards
+    EngineConfig file = sink;  // ldp-replay --checkpoint, one and four queriers
     file.checkpoint_sink = nullptr;
     file.checkpoint_path = temp_path("interval_ckpt");
+    file.queriers_per_distributor = 1;
     expect_refused(QueryEngine(file).replay(trace));
-    file.shards = 2;
+    file.queriers_per_distributor = 4;
     expect_refused(QueryEngine(file).replay(trace));
 
     dist::DistConfig fleet;  // ldp-replay --workers: refused before any fork

@@ -1,10 +1,12 @@
 // Sharding regression suite (`ctest -L shard` / check_shard): SO_REUSEPORT
 // group binding, multi-shard ShardedServer serving with merge-after-join
-// books, and the sharded querier pool — including the N=1 vs N=4 equivalence runs that
-// pin the tentpole claim: partitioning changes wall-clock parallelism,
-// never counters. Also the suite the tsan-shard preset runs under
-// ThreadSanitizer, so every cross-thread handoff in the shard layer gets
-// exercised under the race detector.
+// books, and the replay side's source split over querier threads (the
+// "sharded" replay: one controller, N queriers, each source on one) —
+// including the 1 vs 4 equivalence runs that pin the claim: splitting
+// changes wall-clock parallelism, never counters. Also the suite the
+// tsan-shard preset runs under ThreadSanitizer, so every cross-thread
+// handoff in the serving shards and the querier pool gets exercised under
+// the race detector.
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -88,7 +90,7 @@ TEST(ReusePort, TcpGroupSharesPortAndOutsidersAreRejected) {
 
 // --- ShardedServer serving + merge-after-join -----------------------------
 
-// Four shards, sharded querier pool to match: every query answered, the
+// Four shards, four querier threads to match: every query answered, the
 // auth stats see the full workload, and the merged exit report carries one
 // consistent book per shard plus a consistent merged book.
 TEST(ShardedServing, FourShardRoundTripMergesConsistentBooks) {
@@ -105,9 +107,7 @@ TEST(ShardedServing, FourShardRoundTripMergesConsistentBooks) {
   replay::EngineConfig cfg;
   cfg.server = (*srv)->endpoint();
   cfg.timed = false;
-  cfg.shards = 4;
-  cfg.distributors = 1;
-  cfg.queriers_per_distributor = 1;
+  cfg.queriers_per_distributor = 4;
   cfg.max_retries = 0;
   cfg.drain_grace = 3 * kSecond;
   auto report = replay::QueryEngine(cfg).replay(trace);
@@ -149,8 +149,8 @@ struct SlowlorisOutcome {
 // Mixed healthy/hostile workload whose composition is a pure function of
 // the seed: sources the seed marks "slow" replay over TCP with the
 // engine's slowloris drip (slow_client:1 — the per-connection draw is
-// keyed by per-querier open order, which is partition-DEpendent, so the
-// seeded choice lives in the trace where it is partition-independent);
+// keyed by per-querier open order, which is split-DEpendent, so the
+// seeded choice lives in the trace where it is split-independent);
 // the rest are healthy UDP. The hardened server's read deadline reaps
 // every dribbler, answering everyone else.
 SlowlorisOutcome run_slowloris(size_t shards, size_t* slow_out) {
@@ -188,9 +188,7 @@ SlowlorisOutcome run_slowloris(size_t shards, size_t* slow_out) {
   replay::EngineConfig cfg;
   cfg.server = (*srv)->endpoint();
   cfg.timed = false;
-  cfg.shards = shards;
-  cfg.distributors = 1;
-  cfg.queriers_per_distributor = 1;
+  cfg.queriers_per_distributor = shards;  // one querier per serving shard
   cfg.max_retries = 0;       // retransmits would perturb the books
   cfg.tcp_reconnect = false; // a second slow connection proves nothing new
   cfg.query_timeout = 600 * kMilli;  // slow queries age out after the reap
@@ -246,11 +244,11 @@ TEST(ShardedServing, SlowlorisBooksIdenticalAtOneAndFourShards) {
   EXPECT_EQ(one, four);
 }
 
-// --- sharded querier pool determinism -------------------------------------
+// --- querier pool determinism ---------------------------------------------
 
 // Fault draws are keyed by (seed, source) streams, so fixed-seed impairment
-// counters must be byte-identical however sources are partitioned.
-TEST(ShardedReplay, FixedSeedImpairmentsIdenticalAcrossShardCounts) {
+// counters must be byte-identical however sources are split over queriers.
+TEST(ShardedReplay, FixedSeedImpairmentsIdenticalAcrossQuerierCounts) {
   auto bg = server::BackgroundServer::start(wildcard_server());
   ASSERT_TRUE(bg.ok());
 
@@ -260,13 +258,11 @@ TEST(ShardedReplay, FixedSeedImpairmentsIdenticalAcrossShardCounts) {
   spec.client_count = 8;
   auto trace = synth::make_fixed_trace(spec);
 
-  auto run = [&](size_t shards) {
+  auto run = [&](size_t queriers) {
     replay::EngineConfig cfg;
     cfg.server = (*bg)->endpoint();
     cfg.timed = false;
-    cfg.shards = shards;
-    cfg.distributors = 1;
-    cfg.queriers_per_distributor = 1;
+    cfg.queriers_per_distributor = queriers;
     cfg.max_retries = 0;  // retransmits would consume extra fault draws
     cfg.drain_grace = 2 * kSecond;
     cfg.fault = *fault::parse_fault_spec("dup:0.05,seed:42");
@@ -279,15 +275,15 @@ TEST(ShardedReplay, FixedSeedImpairmentsIdenticalAcrossShardCounts) {
   auto four = run(4);
   EXPECT_EQ(one.queries_sent, trace.size());
   replay::expect_same_counters(
-      one, four, {replay::kShardQueuePeak, replay::kShardInFlightPeak});
+      one, four, {replay::kQuerierQueuePeak, replay::kQuerierInFlightPeak});
   EXPECT_GT(one.impairments.duplicated, 0u);
   EXPECT_EQ(one.responses_received, trace.size());
   EXPECT_EQ(four.responses_received, trace.size());
 }
 
-// §2.6 "split input stream to feed multiple controllers": a timed replay
-// split over three shards still tracks the one shared clock — never early,
-// mostly on time — and merges every shard's books.
+// A timed replay split over three querier threads still tracks the
+// controller's one clock — never early, mostly on time — and merges every
+// querier's books.
 TEST(ShardedReplay, TimedSplitTracksSharedClock) {
   auto bg = server::BackgroundServer::start(wildcard_server());
   ASSERT_TRUE(bg.ok());
@@ -300,7 +296,7 @@ TEST(ShardedReplay, TimedSplitTracksSharedClock) {
 
   replay::EngineConfig cfg;
   cfg.server = (*bg)->endpoint();
-  cfg.shards = 3;
+  cfg.queriers_per_distributor = 3;
   auto report = replay::QueryEngine(cfg).replay(trace);
   ASSERT_TRUE(report.ok()) << report.error().message;
   EXPECT_EQ(report->queries_sent, trace.size());
@@ -315,9 +311,9 @@ TEST(ShardedReplay, TimedSplitTracksSharedClock) {
   EXPECT_LT(err_ms.summary().median, 200.0);
 }
 
-// Live mutation happens once, on the controller thread, before the
-// partition — stateful user closures never see concurrent calls, and the
-// mutated stream is what gets partitioned.
+// Live mutation happens once, on the controller thread, before the split
+// over queriers — stateful user closures never see concurrent calls, and
+// the mutated stream is what gets split.
 TEST(ShardedReplay, LiveMutatorAppliedOnceBeforePartition) {
   auto bg = server::BackgroundServer::start(wildcard_server());
   ASSERT_TRUE(bg.ok());
@@ -333,9 +329,7 @@ TEST(ShardedReplay, LiveMutatorAppliedOnceBeforePartition) {
   replay::EngineConfig cfg;
   cfg.server = (*bg)->endpoint();
   cfg.timed = false;
-  cfg.shards = 3;
-  cfg.distributors = 1;
-  cfg.queriers_per_distributor = 1;
+  cfg.queriers_per_distributor = 3;
   cfg.max_retries = 0;
   cfg.drain_grace = 2 * kSecond;
   cfg.live_mutator = &pipeline;
@@ -346,11 +340,10 @@ TEST(ShardedReplay, LiveMutatorAppliedOnceBeforePartition) {
   EXPECT_EQ(report->mutator_dropped, 0u);
 }
 
-// Sharded checkpointing now writes per-shard files (<path>.shardN), so a
-// file checkpoint path is fine. What stays an explicit error: feeding a
-// single whole-trace resume state to a sharded run (it takes resume_shards)
-// and the in-memory checkpoint_sink (a per-shard sink would interleave
-// unrelated slices). dist_test.cpp covers the working per-shard round trip.
+// More querier threads come from queriers_per_distributor, and a
+// checkpoint is one file whatever the querier count. A config that asks
+// for shards other than 1 — with a resume state or with a checkpoint sink —
+// is refused up front, naming the field to use instead.
 TEST(ShardedReplay, ShardedCheckpointingInvalidCombinationsStayErrors) {
   std::vector<TraceRecord> trace;
   TraceRecord rec;
@@ -362,6 +355,12 @@ TEST(ShardedReplay, ShardedCheckpointingInvalidCombinationsStayErrors) {
   rec.dns_payload = query_for("www.example.com").to_wire();
   trace.push_back(rec);
 
+  auto expect_refused = [](const Result<replay::EngineReport>& report) {
+    ASSERT_FALSE(report.ok());
+    EXPECT_NE(report.error().message.find("queriers_per_distributor"),
+              std::string::npos)
+        << report.error().message;
+  };
   replay::EngineConfig cfg;
   cfg.server = Endpoint{IpAddr{Ip4{127, 0, 0, 1}}, 1};
   cfg.shards = 2;
@@ -369,15 +368,11 @@ TEST(ShardedReplay, ShardedCheckpointingInvalidCombinationsStayErrors) {
   replay::CheckpointState single;
   single.trace_hash = 1;
   cfg.resume = &single;
-  auto report = replay::QueryEngine(cfg).replay(trace);
-  ASSERT_FALSE(report.ok());
-  EXPECT_NE(report.error().message.find("resume_shards"), std::string::npos);
+  expect_refused(replay::QueryEngine(cfg).replay(trace));
   cfg.resume = nullptr;
 
   cfg.checkpoint_sink = [](const replay::CheckpointState&) {};
-  report = replay::QueryEngine(cfg).replay(trace);
-  ASSERT_FALSE(report.ok());
-  EXPECT_NE(report.error().message.find("checkpoint_sink"), std::string::npos);
+  expect_refused(replay::QueryEngine(cfg).replay(trace));
 }
 
 }  // namespace

@@ -1,4 +1,7 @@
-// ldp-replay: the distributed query engine as a command-line tool.
+// ldp-replay: the query engine as a command-line tool. In single-process
+// mode this process is the paper's distributor and feeds --queriers N
+// querier threads; --workers N forks N ldp-worker processes instead, each
+// a distributor with its own querier threads.
 //
 //   ldp-replay [options] <trace.pcap|trace.txt|trace.ldpb> <server-ip> <port>
 //
@@ -7,10 +10,9 @@
 // else exits 2 with a "bad ..." line. An unknown option exits 2 naming it.
 //
 //   --fast                 ignore trace timing, replay as fast as possible
-//   --distributors N       distribution fan-out (default 1, at most 1024)
-//   --queriers N           queriers per distributor (default 2, at most 1024)
-//   --shards N             run N source-partitioned worker pools on a
-//                          shared replay clock (multi-core replay; 1-64)
+//   --queriers N           querier threads, the trace split over them by
+//                          source (default 2, at most 1024; per worker with
+//                          --workers)
 //   --workers N            distributed mode: fork N ldp-worker processes (1-64),
 //                          barrier-synchronize their start, and kill and
 //                          respawn crashed or wedged workers from their
@@ -67,7 +69,7 @@ std::string sibling_worker_bin() {
 
 void usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--fast] [--distributors N] [--queriers N] [--shards N]\n"
+               "usage: %s [--fast] [--queriers N]\n"
                "          [--workers N [--worker-bin PATH] [--respawn N]\n"
                "           [--kill-worker I] [--kill-after S]]\n"
                "          [--transport udp|tcp|tls] [--dnssec] [--prefix LABEL]\n"
@@ -125,12 +127,8 @@ int main(int argc, char** argv) {
     };
     if (opt == "--fast") {
       cfg.timed = false;
-    } else if (opt == "--distributors") {
-      cfg.distributors = need_int(1, 1024);
     } else if (opt == "--queriers") {
       cfg.queriers_per_distributor = need_int(1, 1024);
-    } else if (opt == "--shards") {
-      cfg.shards = need_int(1, 64);
     } else if (opt == "--workers") {
       workers = need_int(1, 64);
     } else if (opt == "--worker-bin") {
@@ -214,12 +212,12 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (workers > 0 && (has_mutations || cfg.shards > 1 ||
-                      !cfg.checkpoint_path.empty() || resume)) {
+  if (workers > 0 &&
+      (has_mutations || !cfg.checkpoint_path.empty() || resume)) {
     // Workers slice the trace themselves and own their checkpoints; live
-    // mutation / sharding / file checkpoints belong to single-process mode.
+    // mutation and file checkpoints belong to single-process mode.
     std::fprintf(stderr,
-                 "--workers is incompatible with mutator flags, --shards, "
+                 "--workers is incompatible with mutator flags, "
                  "--checkpoint and --resume\n");
     return 2;
   }
@@ -236,51 +234,26 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "note: dropped %zu undecodable records\n", malformed);
   }
   replay::CheckpointState resume_state;
-  std::vector<replay::CheckpointState> shard_states;
   if (resume) {
     if (cfg.checkpoint_path.empty()) {
       std::fprintf(stderr, "--resume needs --checkpoint FILE\n");
       return 2;
     }
-    if (cfg.shards > 1) {
-      auto loaded =
-          replay::load_sharded_checkpoints(cfg.checkpoint_path, cfg.shards);
-      if (!loaded.ok()) {
-        std::fprintf(stderr, "resume failed: %s\n",
-                     loaded.error().message.c_str());
-        return 1;
-      }
-      shard_states = std::move(*loaded);
-      cfg.resume_shards = &shard_states;
-      unsigned long long sent = 0, in_flight = 0;
-      for (const auto& st : shard_states) {
-        sent += st.partial.queries_sent;
-        in_flight += st.pending.size();
-      }
-      std::fprintf(stderr,
-                   "resuming from %s.shard*: %llu queries already sent "
-                   "across %zu shards, %llu in flight\n",
-                   cfg.checkpoint_path.c_str(), sent, cfg.shards, in_flight);
-    } else {
-      auto loaded = replay::load_checkpoint(cfg.checkpoint_path);
-      if (!loaded.ok()) {
-        std::fprintf(stderr, "resume failed: %s\n", loaded.error().message.c_str());
-        return 1;
-      }
-      resume_state = std::move(*loaded);
-      cfg.resume = &resume_state;
-      std::fprintf(stderr,
-                   "resuming from %s: %llu of %llu queries already sent, "
-                   "%zu in flight\n",
-                   cfg.checkpoint_path.c_str(),
-                   static_cast<unsigned long long>(resume_state.partial.queries_sent),
-                   static_cast<unsigned long long>(resume_state.trace_queries),
-                   resume_state.pending.size());
+    auto loaded = replay::load_checkpoint(cfg.checkpoint_path);
+    if (!loaded.ok()) {
+      std::fprintf(stderr, "resume failed: %s\n", loaded.error().message.c_str());
+      return 1;
     }
+    resume_state = std::move(*loaded);
+    cfg.resume = &resume_state;
+    std::fprintf(stderr,
+                 "resuming from %s: %llu of %llu queries already sent, "
+                 "%zu in flight\n",
+                 cfg.checkpoint_path.c_str(),
+                 static_cast<unsigned long long>(resume_state.partial.queries_sent),
+                 static_cast<unsigned long long>(resume_state.trace_queries),
+                 resume_state.pending.size());
   }
-  if (cfg.shards > 1)
-    std::fprintf(stderr, "shards: %zu source-partitioned worker pools\n",
-                 cfg.shards);
   if (workers > 0)
     std::fprintf(stderr, "workers: %zu replay processes\n", workers);
   std::fprintf(stderr, "replaying %zu queries to %s (%s mode)...\n", records->size(),
@@ -295,7 +268,6 @@ int main(int argc, char** argv) {
     dist.trace_path = argv[arg];
     dist.server = cfg.server;
     dist.timed = cfg.timed;
-    dist.distributors = cfg.distributors;
     dist.queriers_per_distributor = cfg.queriers_per_distributor;
     dist.fault_spec = fault_spec_raw;
     dist.checkpoint_interval = cfg.checkpoint_interval;
