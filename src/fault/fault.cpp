@@ -59,6 +59,9 @@ Result<TimeNs> parse_duration(std::string_view text) {
   } else {
     return Err("bad duration unit '" + std::string(unit) + "'");
   }
+  // 2^63 ns (292 years) and beyond does not fit a TimeNs.
+  if (value * scale >= 0x1p63)
+    return Err("duration out of range '" + std::string(text) + "'");
   return static_cast<TimeNs>(value * scale);
 }
 
@@ -74,10 +77,10 @@ Result<double> parse_probability(std::string_view key, std::string_view text) {
   return *p;
 }
 
+// Shortest form that reads back as the same double ("0.05" stays "0.05").
 std::string prob_to_string(double p) {
-  std::ostringstream out;
-  out << p;  // default precision round-trips the specs users actually write
-  return out.str();
+  char buf[32];
+  return std::string(buf, std::to_chars(buf, buf + sizeof(buf), p).ptr);
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 // process dies — per-source trace positions (how many queries of each
 // source are already on the wire), the draw positions of every named fault
 // stream, the merged counters/histogram so far, and the in-flight queries
-// with their payloads so a resumed run can adopt and resend them.
+// with their payloads. On resume the engine hands each in-flight query to
+// the querier its source maps to before that querier starts, and the
+// querier resends it ahead of any fresh record.
 //
 // The cut is per-querier consistent: each querier publishes its own
 // snapshot atomically, so a source's sent-count, stream position and
@@ -40,7 +42,7 @@ namespace ldp::replay {
 /// (payload + transport + source for socket routing) and to resolve its
 /// original send record when the answer finally arrives.
 struct CheckpointPending {
-  SendRecord record;  ///< outcome Pending; send_time reset on adoption
+  SendRecord record;  ///< outcome Pending; send_time restamped at the resend
   Transport transport = Transport::Udp;
   uint32_t retries_used = 0;
   std::vector<uint8_t> payload;

@@ -23,6 +23,8 @@ constexpr TimeNs kStartupLead = 100 * kMilli;  // let worker threads spin up
 // Resend delay for queries that never reached the wire (kernel buffer
 // full): short, so the backlog clears as soon as the kernel drains.
 constexpr TimeNs kDeferredSendDelay = 10 * kMilli;
+// Depth of each controller→querier queue; overload shedding starts here.
+constexpr size_t kQueueCapacity = 4096;
 }  // namespace
 
 void EngineReport::merge_from(EngineReport&& other) {
@@ -36,8 +38,8 @@ void EngineReport::merge_from(EngineReport&& other) {
     replay_start = other.replay_start;
   // Fast mode sends before the startup-lead origin; lower the start to the
   // first real send so duration/rate stay meaningful (timed sends are never
-  // earlier than the origin, so this is a no-op there). send_time == 0 is
-  // the not-yet-adopted sentinel on restored records — skip those.
+  // earlier than the origin, so this is a no-op there). A record with
+  // send_time == 0 was never stamped — skip those.
   for (const auto& sr : other.sends) {
     if (sr.send_time > 0 && (replay_start == 0 || sr.send_time < replay_start))
       replay_start = sr.send_time;
@@ -101,15 +103,22 @@ struct QuerierSnapshot {
 // expiry, so pending state is bounded by the retry window even when the
 // server never answers.
 //
-// On resume, the checkpoint's in-flight queries arrive through the adopt
-// inbox. Each carries a pointer to its send record in the replay's stable
-// restored-record storage (extern_rec), so its outcome resolves there
-// rather than in this querier's report.
+// A query enters a querier in one of two ways: as a fresh trace record
+// through its queue, or, on resume, as a checkpoint's in-flight query
+// handed to the constructor. The restored ones are resent before the event
+// loop starts, each with its own send record in this querier's report.
+// Every attempt — fresh, restored or retry — reaches the wire through one
+// function per transport: stage_udp or send_tcp.
 // ---------------------------------------------------------------------------
 class QueryEngine::Querier {
  public:
-  Querier(uint32_t id, const EngineConfig& config, const ReplayClock& clock)
-      : id_(id), config_(config), clock_(clock), queue_(config.queue_capacity) {
+  Querier(uint32_t id, const EngineConfig& config, const ReplayClock& clock,
+          std::vector<CheckpointPending> restored)
+      : id_(id),
+        config_(config),
+        clock_(clock),
+        queue_(kQueueCapacity),
+        restored_(std::move(restored)) {
     wake_fd_ = net::Fd(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC));
     thread_ = std::thread([this] { run(); });
   }
@@ -130,20 +139,6 @@ class QueryEngine::Querier {
   void finish() {
     queue_.close();
     wake();
-  }
-
-  /// Hand over an in-flight query restored from a checkpoint; it must
-  /// carry extern_rec. Thread-safe; returns false once the querier stopped
-  /// accepting (shutting down), so the caller can account the query
-  /// instead of losing it in a never-drained inbox.
-  bool adopt(PendingQuery pq) {
-    {
-      std::lock_guard lock(adopt_mu_);
-      if (adopt_closed_) return false;
-      adopt_inbox_.push_back(std::move(pq));
-    }
-    wake();
-    return true;
   }
 
   QuerierSnapshot snapshot() const {
@@ -209,16 +204,8 @@ class QueryEngine::Querier {
     explicit TcpConn(net::TcpStream s) : stream(std::move(s)) {}
   };
 
-  /// Resolve the send record a pending query belongs to: its own report
-  /// entry, or — for adopted queries — the resumed checkpoint's stable
-  /// storage.
-  SendRecord& record_of(PendingQuery& pq) {
-    return pq.extern_rec != nullptr ? *pq.extern_rec
-                                    : report_.sends[pq.send_index];
-  }
-  const SendRecord& record_of(const PendingQuery& pq) const {
-    return pq.extern_rec != nullptr ? *pq.extern_rec
-                                    : report_.sends[pq.send_index];
+  SendRecord& record_of(const PendingQuery& pq) {
+    return report_.sends[pq.send_index];
   }
 
   /// Per-source fault stream, created on first use; nullptr when the
@@ -264,10 +251,38 @@ class QueryEngine::Querier {
                             [this](bool, bool) { on_wake(); });
     if (add.ok()) {
       loop_.add_flush_hook([this] { flush_all_udp(); });
+      resend_restored();
       if (config_.checkpointing()) arm_snapshot();
       loop_.run();
     }
     finalize_report();
+  }
+
+  /// Resend the in-flight queries a checkpoint handed this querier, ahead
+  /// of any fresh record. Each gets a send record of its own; the original
+  /// monotonic timestamps died with the checkpointed process, so latency
+  /// restarts from this resend.
+  void resend_restored() {
+    for (auto& cp : restored_) {
+      TimeNs now = mono_now_ns();
+      SendRecord sr = cp.record;
+      sr.send_time = now;
+      sr.latency = -1;
+      sr.outcome = QueryOutcome::Pending;
+      PendingQuery pq;
+      pq.key = next_key_++;
+      pq.dns_id = dns_id_of(cp.payload).value_or(0);
+      pq.retries_used = cp.retries_used;
+      pq.send_index = report_.sends.size();
+      pq.transport = cp.transport;
+      pq.first_send = now;
+      pq.source = sr.source;
+      pq.payload = std::move(cp.payload);
+      report_.sends.push_back(sr);
+      ++report_.lifecycle.adopted_resends;
+      dispatch(std::move(pq), SendKind::Adopted, now);
+    }
+    restored_ = {};
   }
 
   void arm_snapshot() {
@@ -322,74 +337,9 @@ class QueryEngine::Querier {
       if (!rec.has_value()) break;
       handle_record(std::move(*rec));
     }
-    drain_adopt_inbox();
     if (queue_.closed_and_empty()) {
       input_done_ = true;
       maybe_finish();
-    }
-  }
-
-  void drain_adopt_inbox() {
-    std::vector<PendingQuery> batch;
-    {
-      std::lock_guard lock(adopt_mu_);
-      batch.swap(adopt_inbox_);
-    }
-    for (auto& pq : batch) adopt_pending(std::move(pq));
-  }
-
-  /// Take over an in-flight query restored from a checkpoint: resend it
-  /// through this querier's own socket for the source and track it in the
-  /// matching pending table. The outcome resolves into the query's original
-  /// send record.
-  void adopt_pending(PendingQuery pq) {
-    SendRecord& sr = *pq.extern_rec;
-    pq.key = next_key_++;  // keys are per-querier
-    ++report_.lifecycle.adopted_resends;
-    TimeNs now = mono_now_ns();
-    if (sr.send_time == 0) {
-      // Restored from a checkpoint: the original monotonic timestamps died
-      // with the process; latency restarts from the adoption resend.
-      sr.send_time = now;
-      pq.first_send = now;
-    }
-    if (pq.transport == Transport::Udp) {
-      UdpSock* us = udp_socket_for(pq.source);
-      if (us == nullptr) {
-        fail_send(pq, SendKind::Adopted);
-        return;
-      }
-      stage_udp(*us, std::move(pq), SendKind::Adopted);
-    } else {
-      TcpConn* conn = tcp_conn_for(pq.source);
-      if (conn == nullptr) {
-        fail_send(pq, SendKind::Adopted);
-        return;
-      }
-      conn->last_activity = now;
-      pq.deadline = now + config_.query_timeout;
-      TimeNs deadline = pq.deadline;
-      if (!conn->connected) {
-        conn->backlog.push_back(pq.payload);
-        if (conn->pending.insert(std::move(pq)))
-          ++report_.lifecycle.duplicate_ids;
-        note_in_flight(+1);
-      } else {
-        size_t still_pending = 0;
-        auto out = tcp_send(conn, pq.source, now, pq.payload, &still_pending);
-        IpAddr source = pq.source;
-        if (conn->pending.insert(std::move(pq)))
-          ++report_.lifecycle.duplicate_ids;
-        note_in_flight(+1);
-        if (out == net::TcpSendOutcome::Error ||
-            out == net::TcpSendOutcome::LinkDown) {
-          close_tcp(source, /*lost=*/true);
-          return;
-        }
-        if (still_pending > 0)
-          (void)loop_.modify_fd(conn->stream.fd(), net::Interest{true, true});
-      }
-      schedule_lifecycle(deadline);
     }
   }
 
@@ -416,74 +366,39 @@ class QueryEngine::Querier {
   }
 
   void send_query(const TraceRecord& rec) {
-    size_t index = report_.sends.size();
     SendRecord sr;
     sr.trace_time = rec.timestamp;
     sr.send_time = mono_now_ns();
     sr.source = rec.src.addr;
     sr.querier = id_;
-    report_.sends.push_back(sr);
     ++report_.queries_sent;
     ++sent_count_for(rec.src.addr);
-    last_send_ = sr.send_time;
 
     PendingQuery pq;
     pq.key = next_key_++;
-    pq.dns_id = rec.dns_payload.size() >= 2
-                    ? static_cast<uint16_t>(rec.dns_payload[0] << 8 |
-                                            rec.dns_payload[1])
-                    : 0;
-    pq.send_index = index;
+    pq.dns_id = dns_id_of(rec.dns_payload).value_or(0);
+    pq.send_index = report_.sends.size();
     pq.transport = rec.transport;
     pq.first_send = sr.send_time;
     pq.source = rec.src.addr;
     pq.payload = rec.dns_payload;
+    report_.sends.push_back(sr);
+    dispatch(std::move(pq), SendKind::Fresh, sr.send_time);
+  }
 
-    if (rec.transport == Transport::Udp) {
-      UdpSock* us = udp_socket_for(rec.src.addr);
-      if (us == nullptr) {
-        fail_send(pq, SendKind::Fresh);
-        return;
-      }
-      stage_udp(*us, std::move(pq), SendKind::Fresh);
-    } else {
-      TcpConn* conn = tcp_conn_for(rec.src.addr);
-      if (conn == nullptr) {
-        fail_send(pq, SendKind::Fresh);
-        return;
-      }
-      conn->last_activity = sr.send_time;
-      pq.deadline = pq.first_send + config_.query_timeout;
-      TimeNs deadline = pq.deadline;
-      if (!conn->connected) {
-        conn->backlog.push_back(pq.payload);
-        if (conn->pending.insert(std::move(pq)))
-          ++report_.lifecycle.duplicate_ids;
-        note_in_flight(+1);
-      } else {
-        size_t still_pending = 0;
-        auto out = tcp_send(conn, rec.src.addr, sr.send_time, pq.payload,
-                            &still_pending);
-        if (conn->pending.insert(std::move(pq)))
-          ++report_.lifecycle.duplicate_ids;
-        note_in_flight(+1);
-        if (out == net::TcpSendOutcome::Error ||
-            out == net::TcpSendOutcome::LinkDown) {
-          // Connection broke mid-send (or the link flapped away under it):
-          // the pending entry survives in the table, so the reconnect path
-          // resends it.
-          close_tcp(rec.src.addr, /*lost=*/true);
-          return;
-        }
-        // An Eaten message simply stays pending; the lifecycle timer
-        // resends it like any other timeout.
-        if (still_pending > 0) {
-          // Kernel buffer full: wait for writability to flush the rest.
-          (void)loop_.modify_fd(conn->stream.fd(), net::Interest{true, true});
-        }
-      }
-      schedule_lifecycle(deadline);
+  /// A query's first attempt (fresh or restored) onto its transport's one
+  /// send path.
+  void dispatch(PendingQuery pq, SendKind kind, TimeNs now) {
+    if (pq.transport != Transport::Udp) {
+      send_tcp(std::move(pq), kind, now);
+      return;
     }
+    UdpSock* us = udp_socket_for(pq.source);
+    if (us == nullptr) {
+      fail_send(pq, kind);
+      return;
+    }
+    stage_udp(*us, std::move(pq), kind);
   }
 
   UdpSock* udp_socket_for(const IpAddr& source) {
@@ -550,11 +465,9 @@ class QueryEngine::Querier {
       case SendKind::Fresh:  // never in flight
         sr.outcome = QueryOutcome::Errored;
         break;
-      case SendKind::Adopted:  // the original attempt may already be resolved
-        if (sr.outcome == QueryOutcome::Pending) {
-          sr.outcome = QueryOutcome::Errored;
-          ++report_.lifecycle.expired;
-        }
+      case SendKind::Adopted:  // in flight at the cut: it expires here
+        sr.outcome = QueryOutcome::Errored;
+        ++report_.lifecycle.expired;
         break;
       case SendKind::Retry:  // was in flight: it expires here
         ++report_.lifecycle.expired;
@@ -592,8 +505,8 @@ class QueryEngine::Querier {
       schedule_lifecycle(deadline);
       return;
     }
-    // Fresh and adopted sends share the post-send shape; they differ only
-    // in the deadline origin (trace send time vs adoption time).
+    // Fresh and restored sends share the post-send shape; they differ only
+    // in the deadline origin (trace send time vs flush time).
     pq.wire_sent = on_wire;
     if (!on_wire) ++report_.lifecycle.deferred_sends;
     TimeNs base = st.kind == SendKind::Fresh ? pq.first_send : now;
@@ -626,6 +539,55 @@ class QueryEngine::Querier {
     tcp_conns_.emplace(source, std::move(owned));
     if (sweep_timer_ == 0) arm_sweep();
     return raw;
+  }
+
+  /// The one TCP attempt path: backlog the query until its connection is
+  /// up, or put it on the wire, then track it in the connection's pending
+  /// table. A first attempt (fresh or restored) counts as a new in-flight
+  /// query and arms its timeout; a retry re-tracks an entry the lifecycle
+  /// timer already owns, and that timer re-arms itself.
+  void send_tcp(PendingQuery pq, SendKind kind, TimeNs now) {
+    TcpConn* conn = tcp_conn_for(pq.source);  // reuse, or reopen if it vanished
+    if (conn == nullptr) {
+      fail_send(pq, kind);
+      return;
+    }
+    if (kind == SendKind::Retry) {
+      SendRecord& sr = record_of(pq);
+      ++report_.lifecycle.retries;
+      ++sr.retries;
+      pq.deadline = now + retry_backoff(config_.query_timeout, pq.retries_used,
+                                        config_.retry_backoff_cap);
+    } else {
+      conn->last_activity = now;
+      pq.deadline = now + config_.query_timeout;
+    }
+    const IpAddr source = pq.source;
+    const TimeNs deadline = pq.deadline;
+    auto out = net::TcpSendOutcome::Sent;
+    size_t still_pending = 0;
+    if (conn->connected)
+      out = tcp_send(conn, source, now, pq.payload, &still_pending);
+    else
+      conn->backlog.push_back(pq.payload);
+    // A retry's id collision is not a fresh one.
+    if (conn->pending.insert(std::move(pq)) && kind != SendKind::Retry)
+      ++report_.lifecycle.duplicate_ids;
+    if (kind != SendKind::Retry) note_in_flight(+1);
+    if (out == net::TcpSendOutcome::Error ||
+        out == net::TcpSendOutcome::LinkDown) {
+      // Connection broke mid-send (or the link flapped away under it): the
+      // pending entry survives in the table, so the reconnect path resends
+      // it.
+      close_tcp(source, /*lost=*/true);
+      return;
+    }
+    // An Eaten message simply stays pending; the lifecycle timer resends it
+    // like any other timeout. Bytes left behind by a full kernel buffer
+    // wait for writability.
+    if (still_pending > 0)
+      (void)loop_.modify_fd(conn->stream.fd(), net::Interest{true, true});
+    if (kind != SendKind::Retry) schedule_lifecycle(deadline);
   }
 
   /// Single choke point for putting a framed query on a TCP connection.
@@ -746,8 +708,7 @@ class QueryEngine::Querier {
     if (orphans.empty()) return;
 
     TcpConn* fresh = nullptr;
-    if (lost && config_.tcp_reconnect &&
-        reconnects_used < config_.max_tcp_reconnects) {
+    if (lost && reconnects_used < config_.max_tcp_reconnects) {
       fresh = tcp_conn_for(source);
       if (fresh != nullptr) {
         fresh->reconnects_used = reconnects_used + 1;
@@ -815,12 +776,11 @@ class QueryEngine::Querier {
     }
     // Collect due TCP entries first: handling one may close/reopen
     // connections, which mutates tcp_conns_ mid-iteration otherwise.
-    std::vector<std::pair<IpAddr, PendingQuery>> tcp_due;
+    std::vector<PendingQuery> tcp_due;
     for (auto& [source, conn] : tcp_conns_) {
-      for (auto& pq : conn->pending.take_due(now))
-        tcp_due.emplace_back(source, std::move(pq));
+      for (auto& pq : conn->pending.take_due(now)) tcp_due.push_back(std::move(pq));
     }
-    for (auto& [source, pq] : tcp_due) handle_tcp_due(source, std::move(pq), now);
+    for (auto& pq : tcp_due) handle_tcp_due(std::move(pq), now);
     rearm_lifecycle();
     maybe_finish();
   }
@@ -848,7 +808,7 @@ class QueryEngine::Querier {
     stage_udp(us, std::move(pq), SendKind::Retry);
   }
 
-  void handle_tcp_due(const IpAddr& source, PendingQuery pq, TimeNs now) {
+  void handle_tcp_due(PendingQuery pq, TimeNs now) {
     SendRecord& sr = record_of(pq);
     ++report_.lifecycle.timeouts;
     if (pq.retries_used >= config_.max_retries) {
@@ -858,37 +818,13 @@ class QueryEngine::Querier {
       return;
     }
     ++pq.retries_used;
-    TcpConn* conn = tcp_conn_for(source);  // reuse, or reopen if it vanished
-    if (conn == nullptr) {
-      fail_send(pq, SendKind::Retry);
-      return;
-    }
-    ++report_.lifecycle.retries;
-    ++sr.retries;
-    pq.deadline = now + retry_backoff(config_.query_timeout, pq.retries_used,
-                                      config_.retry_backoff_cap);
-    if (!conn->connected) {
-      conn->backlog.push_back(pq.payload);
-      conn->pending.insert(std::move(pq));
-      return;
-    }
-    size_t still_pending = 0;
-    auto out = tcp_send(conn, source, now, pq.payload, &still_pending);
-    if (out == net::TcpSendOutcome::Error ||
-        out == net::TcpSendOutcome::LinkDown) {
-      conn->pending.insert(std::move(pq));
-      close_tcp(source, /*lost=*/true);  // resends via the reconnect path
-      return;
-    }
-    if (still_pending > 0)
-      (void)loop_.modify_fd(conn->stream.fd(), net::Interest{true, true});
-    conn->pending.insert(std::move(pq));
+    send_tcp(std::move(pq), SendKind::Retry, now);
   }
 
   void match_response(std::span<const uint8_t> payload, PendingTable& pending) {
-    if (payload.size() < 2) return;
-    uint16_t id = static_cast<uint16_t>(payload[0] << 8 | payload[1]);
-    auto pq = pending.match(id);
+    auto id = dns_id_of(payload);
+    if (!id.has_value()) return;
+    auto pq = pending.match(*id);
     if (!pq.has_value()) {
       // Late (already expired) or unsolicited — the id names no live query.
       ++report_.lifecycle.unmatched_responses;
@@ -927,22 +863,6 @@ class QueryEngine::Querier {
     // Put any still-staged sends on the wire (or into the pending tables,
     // where the abandonment sweep below accounts them) before counting.
     flush_all_udp();
-    // Refuse further adoptions, then account anything still in the inbox —
-    // restored queries that arrived too late to resend are errored, never
-    // lost.
-    std::vector<PendingQuery> leftover;
-    {
-      std::lock_guard lock(adopt_mu_);
-      adopt_closed_ = true;
-      leftover.swap(adopt_inbox_);
-    }
-    for (auto& pq : leftover) {
-      SendRecord& sr = record_of(pq);
-      if (sr.outcome == QueryOutcome::Pending) {
-        sr.outcome = QueryOutcome::Errored;
-        ++report_.lifecycle.expired;
-      }
-    }
     // Queries still pending at shutdown (drain_grace fired before their
     // expiry) are abandoned: counted, never silently lost.
     auto abandon = [this](PendingQuery&& pq) {
@@ -990,16 +910,13 @@ class QueryEngine::Querier {
   net::EventLoop::TimerId sweep_timer_ = 0;
   net::EventLoop::TimerId lifecycle_timer_ = 0;
   TimeNs lifecycle_deadline_ = 0;
-  TimeNs last_send_ = 0;
 
   // Per-source cumulative sent counts (checkpoint trace positions).
   std::unordered_map<IpAddr, uint64_t, IpAddrHash> sent_per_source_;
 
-  // Cross-thread adoption inbox: in-flight queries restored from a
-  // checkpoint, to resend.
-  std::mutex adopt_mu_;
-  bool adopt_closed_ = false;
-  std::vector<PendingQuery> adopt_inbox_;
+  // In-flight queries restored from a checkpoint, moved in before the
+  // thread starts and resent by run() before the loop does anything else.
+  std::vector<CheckpointPending> restored_;
 
   // Latest published checkpoint snapshot.
   mutable std::mutex snap_mu_;
@@ -1081,17 +998,21 @@ Result<EngineReport> QueryEngine::replay(const std::vector<TraceRecord>& trace,
   own_clock.start(anchor_ts, mono_now_ns() + kStartupLead);
   const ReplayClock& clock = shared_clock != nullptr ? *shared_clock : own_clock;
 
-  // Stable storage for restored in-flight records: adopting queriers write
-  // outcomes through pointers into this vector, so it must never grow
-  // after the pointers are handed out.
-  std::vector<SendRecord> adopted_records;
-  adopted_records.reserve(resume != nullptr ? resume->pending.size() : 0);
-
+  // Restored in-flight queries go to their sources' queriers before any
+  // record is dispatched, so a source's sticky slot is decided by the
+  // query that was first on the wire. Each querier takes its share at
+  // construction and resends it before its loop starts.
+  const size_t n_queriers = config_.queriers_per_distributor;
+  SourceSplit split(n_queriers);
+  std::vector<std::vector<CheckpointPending>> restored(n_queriers);
+  if (resume != nullptr) {
+    for (const auto& cp : resume->pending)
+      restored[split.slot_for(cp.record.source)].push_back(cp);
+  }
   std::vector<std::unique_ptr<Querier>> queriers;
-  for (size_t i = 0; i < config_.queriers_per_distributor; ++i)
-    queriers.push_back(
-        std::make_unique<Querier>(static_cast<uint32_t>(i), config_, clock));
-  SourceSplit split(queriers.size());
+  for (size_t i = 0; i < n_queriers; ++i)
+    queriers.push_back(std::make_unique<Querier>(
+        static_cast<uint32_t>(i), config_, clock, std::move(restored[i])));
   OverloadLedger overload;
   std::atomic<uint64_t> mutator_dropped{0};
 
@@ -1143,34 +1064,6 @@ Result<EngineReport> QueryEngine::replay(const std::vector<TraceRecord>& trace,
   Supervisor ticker(config_.checkpoint_interval, checkpoint);
   if (checkpointing) ticker.start();
 
-  // Restored in-flight queries are adopted before dispatch, so their
-  // sources' sticky assignment is decided by the query that was first on
-  // the wire.
-  uint64_t restore_failures = 0;
-  if (resume != nullptr) {
-    for (const auto& cp : resume->pending) {
-      adopted_records.push_back(cp.record);
-      SendRecord& rec = adopted_records.back();
-      rec.send_time = 0;  // sentinel: re-stamped when the adopter resends
-      rec.latency = -1;
-      rec.outcome = QueryOutcome::Pending;
-      PendingQuery pq;
-      pq.dns_id = cp.payload.size() >= 2
-                      ? static_cast<uint16_t>(cp.payload[0] << 8 |
-                                              cp.payload[1])
-                      : 0;
-      pq.retries_used = cp.retries_used;
-      pq.transport = cp.transport;
-      pq.source = cp.record.source;
-      pq.extern_rec = &rec;
-      pq.payload = cp.payload;
-      if (!queriers[split.slot_for(pq.source)]->adopt(std::move(pq))) {
-        rec.outcome = QueryOutcome::Errored;
-        ++restore_failures;
-      }
-    }
-  }
-
   // The Postman: dispatch records to their queriers, mutating live when
   // configured, skipping what the checkpoint already replayed. A push onto
   // a closed queue (never expected: queues close only after the last push)
@@ -1205,22 +1098,14 @@ Result<EngineReport> QueryEngine::replay(const std::vector<TraceRecord>& trace,
   merged.mutator_dropped = mutator_dropped.load(std::memory_order_relaxed);
   merged.replay_start = clock.real_origin();
   for (auto& q : queriers) merged.merge_from(q->take_report());
+  // Restored resends go out as their querier starts, ahead of t₁; they do
+  // not move a timed replay's origin.
+  if (config_.timed) merged.replay_start = clock.real_origin();
   merged.merge_from(own_report());
   // Stop the ticker before the final checkpoint so the two never write the
   // file at once.
   ticker.stop();
 
-  // Restored records that never resolved (adopter shut down first, or the
-  // adoption itself failed) expire with accounting.
-  for (auto& rec : adopted_records) {
-    if (rec.outcome == QueryOutcome::Pending) {
-      rec.outcome = QueryOutcome::Errored;
-      ++merged.lifecycle.expired;
-    }
-  }
-  merged.lifecycle.expired += restore_failures;
-  merged.sends.insert(merged.sends.end(), adopted_records.begin(),
-                      adopted_records.end());
   if (resume != nullptr) {
     EngineReport base = resume->partial;
     merged.merge_from(std::move(base));

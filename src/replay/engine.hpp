@@ -77,10 +77,9 @@ struct EngineConfig {
   TimeNs retry_backoff_cap = 8 * kSecond;
   /// Re-establish a TCP connection that dropped with unanswered queries
   /// still pending, resending them (each resend consumes one retry from the
-  /// affected queries), at most this many times per source.
-  bool tcp_reconnect = true;
+  /// affected queries), at most this many times per source; 0 never
+  /// reconnects.
   uint32_t max_tcp_reconnects = 2;
-  size_t queue_capacity = 4096;
   /// Live query mutation (§2.2: "query mutator can run live with query
   /// replay"): applied by the controller to each record before dispatch.
   /// The pipeline must outlive the replay. Records the mutator drops or

@@ -11,6 +11,7 @@
 #include <deque>
 #include <optional>
 #include <queue>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -19,8 +20,6 @@
 #include "util/transport.hpp"
 
 namespace ldp::replay {
-
-struct SendRecord;  // engine.hpp; pending entries may resolve foreign records
 
 /// Terminal (and initial) states of one replayed query.
 enum class QueryOutcome : uint8_t {
@@ -40,9 +39,19 @@ inline const char* outcome_name(QueryOutcome o) {
   return "?";
 }
 
+/// The DNS ID of a wire-format message: its first two bytes, big-endian.
+/// nullopt when the payload is too short to carry a header.
+inline std::optional<uint16_t> dns_id_of(std::span<const uint8_t> payload) {
+  if (payload.size() < 2) return std::nullopt;
+  return static_cast<uint16_t>(payload[0] << 8 | payload[1]);
+}
+
 /// One in-flight query. The payload is retained so a timeout can
 /// retransmit (UDP) or a reconnect can resend (TCP) without reaching back
-/// into the trace.
+/// into the trace. Its outcome resolves into the owning querier's send
+/// record at send_index — a query restored from a checkpoint included,
+/// since its record is appended to that querier's report before the
+/// querier starts.
 struct PendingQuery {
   uint64_t key = 0;           ///< unique per entry (issuer-assigned, monotone)
   uint16_t dns_id = 0;
@@ -53,11 +62,6 @@ struct PendingQuery {
   TimeNs first_send = 0;      ///< original send attempt (latency baseline)
   TimeNs deadline = 0;        ///< next timeout
   IpAddr source;              ///< original trace source (socket/stream routing)
-  /// Set when this query was restored from a checkpoint: its send record
-  /// lives in the replay's restored-record storage, not in the adopting
-  /// querier's report. When non-null it overrides send_index for outcome
-  /// resolution.
-  SendRecord* extern_rec = nullptr;
   std::vector<uint8_t> payload;
 };
 

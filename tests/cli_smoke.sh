@@ -13,7 +13,7 @@ REPLAY=$5
 WORKER=$6
 
 WORK=$(mktemp -d)
-trap 'kill $SERVER_PID $REPLAY_PID 2>/dev/null || true; rm -rf "$WORK"' EXIT
+trap 'kill $SERVER_PID $REPLAY_PID ${SILENT_PID:-} 2>/dev/null || true; rm -rf "$WORK"' EXIT
 REPLAY_PID=""
 cd "$WORK"
 
@@ -183,6 +183,37 @@ echo "$OUT6"
 echo "$OUT6" | grep -q "resuming from $CKPT4:" \
   || { echo "resume did not load the checkpoint"; exit 1; }
 [ "$(counter "$OUT6" queries_sent)" = 400 ] || { echo "four-querier resume lost queries"; exit 1; }
+
+echo "== four-querier TCP checkpoint / kill -9 / --queriers 4 --resume round trip"
+# The same cut over TCP, taken against a server that accepts connections
+# but drops every query (overloaded from its first connection on), so the
+# cut holds in-flight queries; the resume resends them over fresh
+# per-source connections to the answering server.
+PORT5=$(( PORT4 + 1 ))
+$SERVER --port $PORT5 --overload policy:drop,high:1 example.zone &
+SILENT_PID=$!
+sleep 0.5
+CKPT4T=ckpt4tcp.state
+$REPLAY --transport tcp --queriers 4 --checkpoint $CKPT4T --checkpoint-interval 0.2 \
+  trace.ldpb 127.0.0.1 $PORT5 > querier_tcp_resume_first.log 2>&1 &
+REPLAY_PID=$!
+sleep 1
+kill -9 $REPLAY_PID 2>/dev/null || true
+wait $REPLAY_PID 2>/dev/null || true
+REPLAY_PID=""
+kill $SILENT_PID 2>/dev/null || true
+wait $SILENT_PID 2>/dev/null || true
+[ -f $CKPT4T ] || { echo "no TCP checkpoint written"; exit 1; }
+[ "$(ls $CKPT4T* | grep -cv '\.tmp$')" = 1 ] \
+  || { echo "more than one TCP checkpoint file: $(ls $CKPT4T*)"; exit 1; }
+OUT6T=$($REPLAY --transport tcp --queriers 4 --checkpoint $CKPT4T --resume \
+  trace.ldpb 127.0.0.1 $PORT4 2>&1)
+echo "$OUT6T"
+echo "$OUT6T" | grep -q "resuming from $CKPT4T:" \
+  || { echo "TCP resume did not load the checkpoint"; exit 1; }
+[ "$(counter "$OUT6T" queries_sent)" = 400 ] || { echo "four-querier TCP resume lost queries"; exit 1; }
+[ "$(counter "$OUT6T" lifecycle.adopted_resends)" -gt 0 ] \
+  || { echo "TCP cut held no in-flight queries to resend"; exit 1; }
 
 echo "== distributed replay: --workers 2 forked worker processes"
 OUT7=$($REPLAY --workers 2 --worker-bin $WORKER trace.ldpb 127.0.0.1 $PORT4 2>&1)

@@ -6,8 +6,9 @@
 // and respawned just as exactly, respawn-budget exhaustion and the
 // in-process fallback, drift correction with a deliberately skewed worker
 // clock), and checkpoints of a source-split querier pool (one file at any
-// querier count, resume across querier counts). Also what the tsan-dist
-// preset runs under ThreadSanitizer.
+// querier count, resume across querier counts, a cut whose every query is
+// in flight resumed over UDP and TCP). Also what the tsan-dist preset runs
+// under ThreadSanitizer.
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -19,6 +20,7 @@
 #include <cstdio>
 #include <fstream>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -661,6 +663,77 @@ TEST_F(ShardedCheckpoint, CutAtFourQueriersResumesExactlyAtOne) {
         "the resume resends what was in flight at the cut"},
        replay::kQueuePeakTiming, replay::kInFlightPeakTiming});
 }
+
+// A cut whose every sent query is still in flight — taken at four queriers
+// against an endpoint that never answers — resumes at one querier against a
+// real server: each restored query is resent once over its own transport
+// and answered, nothing expires, and every trace query is sent exactly once
+// across the cut.
+class RestoredInFlight : public ShardedCheckpoint,
+                         public ::testing::WithParamInterface<Transport> {};
+
+TEST_P(RestoredInFlight, EveryQueryInFlightAtTheCutIsAnsweredOnResume) {
+  const Transport transport = GetParam();
+  auto trace = small_trace();
+  for (auto& rec : trace) rec.transport = transport;
+
+  // The silent endpoint: UDP datagrams queue unread; TCP handshakes
+  // complete in the accept queue of a listener nobody reads from.
+  Endpoint silent{IpAddr{Ip4{127, 0, 0, 1}}, 0};
+  std::optional<net::UdpSocket> udp_sink;
+  std::optional<net::TcpListener> tcp_sink;
+  if (transport == Transport::Udp) {
+    auto sock = net::UdpSocket::bind(silent);
+    ASSERT_TRUE(sock.ok()) << sock.error().message;
+    udp_sink.emplace(std::move(*sock));
+    silent = *udp_sink->local_endpoint();
+  } else {
+    auto listener = net::TcpListener::listen(silent);
+    ASSERT_TRUE(listener.ok()) << listener.error().message;
+    tcp_sink.emplace(std::move(*listener));
+    silent = *tcp_sink->local_endpoint();
+  }
+
+  std::mutex mu;
+  std::string cut;  // the first snapshot between a quarter and half way
+  auto cfg = engine_config(4);
+  cfg.server = silent;
+  cfg.checkpoint_interval = 100 * kMilli;
+  cfg.drain_grace = 100 * kMilli;  // nothing will answer
+  cfg.checkpoint_sink = [&](const replay::CheckpointState& st) {
+    uint64_t sent = st.partial.queries_sent;
+    std::lock_guard lock(mu);
+    if (cut.empty() && sent > trace.size() / 4 && sent < trace.size() / 2)
+      cut = replay::serialize_checkpoint(st);
+  };
+  ASSERT_TRUE(replay::QueryEngine(cfg).replay(trace).ok());
+  ASSERT_FALSE(cut.empty()) << "no snapshot landed mid-replay";
+
+  auto state = replay::parse_checkpoint(cut);
+  ASSERT_TRUE(state.ok()) << state.error().message;
+  ASSERT_FALSE(state->pending.empty());
+  // No query expires before its third timeout, seconds after the cut.
+  EXPECT_EQ(state->pending.size(), state->partial.queries_sent);
+  for (const auto& cp : state->pending) EXPECT_EQ(cp.transport, transport);
+
+  auto resume_cfg = engine_config(1);
+  resume_cfg.resume = &*state;
+  resume_cfg.max_retries = 0;  // a retry would mask a lost resend
+  auto resumed = replay::QueryEngine(resume_cfg).replay(trace);
+  ASSERT_TRUE(resumed.ok()) << resumed.error().message;
+  EXPECT_EQ(resumed->lifecycle.adopted_resends, state->pending.size());
+  EXPECT_EQ(resumed->queries_sent, trace.size());
+  EXPECT_EQ(resumed->responses_received + resumed->lifecycle.expired,
+            resumed->queries_sent);
+  EXPECT_EQ(resumed->lifecycle.expired, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Transports, RestoredInFlight,
+    ::testing::Values(Transport::Udp, Transport::Tcp),
+    [](const ::testing::TestParamInfo<Transport>& info) {
+      return std::string(info.param == Transport::Udp ? "Udp" : "Tcp");
+    });
 
 // Shards or distributors other than 1 are an error that names the one
 // fan-out knob, and the other config checks still hold at several

@@ -228,7 +228,7 @@ TEST(FaultScenarios, SlowClientDripStarvesItselfAndHardenedServerEjectsIt) {
   cfg.timed = false;
   cfg.queriers_per_distributor = 1;
   cfg.max_retries = 0;
-  cfg.tcp_reconnect = false;  // a second slow connection proves nothing new
+  cfg.max_tcp_reconnects = 0;  // a second slow connection proves nothing new
   cfg.query_timeout = 400 * kMilli;
   cfg.drain_grace = 5 * kSecond;
   cfg.fault = spec_of("slow_client:1,drip:25ms,seed:1");

@@ -1,10 +1,14 @@
 // Robustness property tests: the wire-format parsers must never crash,
 // hang, or read out of bounds on adversarial input — they parse untrusted
-// network bytes. Each TEST_P seed drives hundreds of random mutations.
+// network bytes — and the command-line spec parsers (--fault, --limits,
+// --overload) either reject a mangled spec or print it back in a form that
+// parses to the same value. Each TEST_P seed drives hundreds of random
+// mutations.
 #include <gtest/gtest.h>
 
 #include "dns/message.hpp"
 #include "fault/fault.hpp"
+#include "server/limits.hpp"
 #include "trace/binary.hpp"
 #include "trace/pcap.hpp"
 #include "trace/text.hpp"
@@ -377,6 +381,133 @@ TEST_P(BinaryFuzz, MutatedStreamsErrorCleanly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BinaryFuzz, ::testing::Range(1, 4));
+
+// Spec mini-languages: each mutant of a canonical spec must be rejected,
+// or parse to a value whose to_string() parses back to that same value —
+// the printed form is what ldp-replay hands its workers, so a lossy print
+// would replay a different scenario there.
+class SpecFuzz : public ::testing::TestWithParam<int> {};
+
+/// A mangled copy of `base`: a few characters replaced (half of them from
+/// the specs' own alphabet, so mutants stay near the grammar), then maybe a
+/// run of digits inserted (long numbers: precision and overflow) and maybe
+/// a truncation.
+std::string mutate_spec(Rng& rng, const std::string& base) {
+  static constexpr std::string_view kSpecChars = "0123456789.:,-/smun";
+  std::string text = base;
+  int mutations = static_cast<int>(rng.uniform(1, 4));
+  for (int m = 0; m < mutations; ++m) {
+    char c = rng.bernoulli(0.5)
+                 ? kSpecChars[rng.uniform(0, kSpecChars.size() - 1)]
+                 : static_cast<char>(rng.uniform(32, 126));
+    text[rng.uniform(0, text.size() - 1)] = c;
+  }
+  if (rng.bernoulli(0.3)) {
+    std::string digits(rng.uniform(1, 24), '0');
+    for (auto& d : digits) d = static_cast<char>('0' + rng.uniform(0, 9));
+    text.insert(rng.uniform(0, text.size()), digits);
+  }
+  if (rng.bernoulli(0.3)) text.resize(rng.uniform(0, text.size()));
+  return text;
+}
+
+/// Drive 500 mutants of `base` through `parse`; returns how many parsed.
+template <typename Parse, typename Same>
+int expect_reject_or_round_trip(int seed, const std::string& base, Parse parse,
+                                Same same) {
+  Rng rng(static_cast<uint64_t>(seed));
+  int accepted = 0;
+  for (int iter = 0; iter < 500; ++iter) {
+    std::string text = mutate_spec(rng, base);
+    auto parsed = parse(text);
+    if (!parsed.ok()) continue;
+    ++accepted;
+    std::string printed = parsed->to_string();
+    auto again = parse(printed);
+    if (!again.ok()) {
+      ADD_FAILURE() << "'" << text << "' printed as '" << printed
+                    << "', which is rejected: " << again.error().message;
+      continue;
+    }
+    EXPECT_TRUE(same(*parsed, *again))
+        << "'" << text << "' printed as '" << printed << "' reads back as '"
+        << again->to_string() << "'";
+  }
+  return accepted;
+}
+
+TEST_P(SpecFuzz, FaultSpecsRejectOrRoundTrip) {
+  auto canonical = fault::parse_fault_spec(
+      "loss:0.05,dup:0.01,reorder:0.02,gap:20ms,corrupt:0.01,delay:5ms,"
+      "jitter:2ms,blackhole:2s-3s,flap:500ms/100ms,slow_client:0.3,"
+      "drip:50ms,seed:42");
+  ASSERT_TRUE(canonical.ok()) << canonical.error().message;
+  // gap and drip take effect, and print, only alongside reorder and
+  // slow_client; every other field must survive the round trip.
+  auto same = [](const fault::FaultSpec& a, const fault::FaultSpec& b) {
+    return a.drop == b.drop && a.dup == b.dup && a.reorder == b.reorder &&
+           a.corrupt == b.corrupt && a.delay == b.delay &&
+           a.jitter == b.jitter && a.blackhole_start == b.blackhole_start &&
+           a.blackhole_end == b.blackhole_end &&
+           a.flap_period == b.flap_period && a.flap_down == b.flap_down &&
+           a.seed == b.seed && a.corrupt_max_bytes == b.corrupt_max_bytes &&
+           a.slow_client == b.slow_client &&
+           (a.reorder == 0 || a.reorder_gap == b.reorder_gap) &&
+           (a.slow_client == 0 || a.slow_drip == b.slow_drip);
+  };
+  int accepted = expect_reject_or_round_trip(
+      GetParam(), canonical->to_string(), fault::parse_fault_spec, same);
+  EXPECT_GT(accepted, 0);
+}
+
+TEST_P(SpecFuzz, LimitsSpecsRejectOrRoundTrip) {
+  auto canonical = server::parse_limits_spec(
+      "max-conns:64,quota:4,read-deadline:2s,write-deadline:1500ms,"
+      "max-partial:4096");
+  ASSERT_TRUE(canonical.ok()) << canonical.error().message;
+  auto same = [](const server::LimitsConfig& a, const server::LimitsConfig& b) {
+    return a.max_connections == b.max_connections &&
+           a.per_client_quota == b.per_client_quota &&
+           a.read_deadline == b.read_deadline &&
+           a.write_deadline == b.write_deadline &&
+           a.max_partial_bytes == b.max_partial_bytes;
+  };
+  int accepted = expect_reject_or_round_trip(
+      GetParam(), canonical->to_string(), server::parse_limits_spec, same);
+  EXPECT_GT(accepted, 0);
+}
+
+TEST_P(SpecFuzz, OverloadSpecsRejectOrRoundTrip) {
+  auto canonical = server::parse_overload_spec("policy:refuse,high:48,low:32");
+  ASSERT_TRUE(canonical.ok()) << canonical.error().message;
+  auto same = [](const server::OverloadConfig& a,
+                 const server::OverloadConfig& b) {
+    return a.policy == b.policy && a.high_watermark == b.high_watermark &&
+           a.low_watermark == b.low_watermark;
+  };
+  int accepted = expect_reject_or_round_trip(
+      GetParam(), canonical->to_string(), server::parse_overload_spec, same);
+  EXPECT_GT(accepted, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SpecFuzz, ::testing::Range(1, 6));
+
+// The two faults SpecFuzz found, pinned: a probability printed at six
+// significant digits read back as another probability, and a duration past
+// 2^63 ns wrapped to a negative one that to_string() then dropped.
+TEST(SpecCorpus, LongProbabilityPrintsExactly) {
+  auto spec = fault::parse_fault_spec("loss:0.056655348915827,seed:5");
+  ASSERT_TRUE(spec.ok()) << spec.error().message;
+  EXPECT_EQ(spec->to_string(), "loss:0.056655348915827,seed:5");
+  EXPECT_EQ(fault::parse_fault_spec("dup:0.05")->to_string(), "dup:0.05,seed:1");
+}
+
+TEST(SpecCorpus, DurationPastTimeNsRejected) {
+  EXPECT_FALSE(fault::parse_duration("9223372037s").ok());
+  EXPECT_TRUE(fault::parse_duration("9223372036s").ok());
+  EXPECT_FALSE(fault::parse_fault_spec("delay:99999999999999999999ms").ok());
+  EXPECT_FALSE(server::parse_limits_spec("read-deadline:2146262257617s").ok());
+}
 
 }  // namespace
 }  // namespace ldp

@@ -479,7 +479,7 @@ TEST(QueryLifecycleT, TcpLossWithoutReconnectCountsExpired) {
   cfg.server = responder.endpoint();
   cfg.timed = false;
   cfg.queriers_per_distributor = 1;
-  cfg.tcp_reconnect = false;
+  cfg.max_tcp_reconnects = 0;
   cfg.query_timeout = kSecond;
   cfg.drain_grace = 3 * kSecond;
   QueryEngine engine(cfg);

@@ -190,7 +190,7 @@ SlowlorisOutcome run_slowloris(size_t shards, size_t* slow_out) {
   cfg.timed = false;
   cfg.queriers_per_distributor = shards;  // one querier per serving shard
   cfg.max_retries = 0;       // retransmits would perturb the books
-  cfg.tcp_reconnect = false; // a second slow connection proves nothing new
+  cfg.max_tcp_reconnects = 0; // a second slow connection proves nothing new
   cfg.query_timeout = 600 * kMilli;  // slow queries age out after the reap
   cfg.drain_grace = 2 * kSecond;
   cfg.fault = fault::FaultSpec{};
